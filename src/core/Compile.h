@@ -95,8 +95,8 @@ struct CompileOptions {
   /// changes the generated code.
   const char *SymbolName = nullptr;
   /// When true, every compile is re-checked by the src/verify static
-  /// analyzers (spec lint, IR verifier, register-allocation audit, emitted
-  /// x86 audit); any finding aborts with a structured report. The
+  /// analyzers (spec lint, IR verifier, register-allocation audit,
+  /// machine-code admission); any finding aborts with a structured report. The
   /// TICKC_VERIFY environment variable enables it globally. Part of the
   /// cache key: a cached hit must carry the same guarantee the options
   /// asked for. Zero overhead when off.

@@ -157,15 +157,14 @@ inline constexpr char FlightEvents[] = "flight.events";
 inline constexpr char TierPromoteSampled[] = "tier.promote.sampled";
 
 // Verification (src/verify): per-layer pass/fail volume and the cycles the
-// checkers themselves consumed (to report verify-time share of compile time).
+// in-compile checkers consumed (verify overhead on top of compile time;
+// snapshot-load admission is counted under verify.admit.cycles only).
 inline constexpr char VerifySpecChecked[] = "verify.spec.checked";
 inline constexpr char VerifySpecFailed[] = "verify.spec.failed";
 inline constexpr char VerifyIrChecked[] = "verify.ir.checked";
 inline constexpr char VerifyIrFailed[] = "verify.ir.failed";
 inline constexpr char VerifyAllocChecked[] = "verify.alloc.checked";
 inline constexpr char VerifyAllocFailed[] = "verify.alloc.failed";
-inline constexpr char VerifyCodeChecked[] = "verify.code.checked";
-inline constexpr char VerifyCodeFailed[] = "verify.code.failed";
 inline constexpr char VerifyCycles[] = "verify.cycles";
 
 // Flow-sensitive machine-code admission (src/verify/AdmissionVerify.cpp):

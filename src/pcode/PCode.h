@@ -48,10 +48,10 @@ public:
 
   /// Instruction classes the encoder-fallback ("glue") paths may emit —
   /// the vocabulary of vcode::VCode itself (spill traffic, calls, general
-  /// division, doubles, branches, the planted profile counter). The machine
-  /// audit accepts a PCODE compile only when every decoded instruction's
-  /// class is in StencilLibrary::ClassMask | glueClassMask(): a class
-  /// outside the union means a patch clobbered an opcode byte.
+  /// division, doubles, branches, the planted profile counter). The
+  /// machine-code verifier accepts a PCODE compile only when every decoded
+  /// instruction's class is in StencilLibrary::ClassMask | glueClassMask():
+  /// a class outside the union means a patch clobbered an opcode byte.
   static constexpr std::uint64_t glueClassMask() {
     using C = x86::InstrClass;
     constexpr C Glue[] = {

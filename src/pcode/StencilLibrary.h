@@ -22,7 +22,7 @@
 /// length and instruction count, re-patching render #1 with render #2's
 /// sentinels must reproduce render #2 exactly, and the strict X86Decoder
 /// must accept the bytes. The decoder classes observed across the library
-/// are accumulated into classMask() for the verify audit.
+/// are accumulated into classMask() for the machine-code verifier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -210,8 +210,8 @@ struct StencilLibrary {
   Stencil RawMovqXR[16][16];          ///< [xmm dst][gpr src]
 
   /// InstrClass bits (1 << class) observed while decode-validating the
-  /// library; the verify audit checks PCODE output against this mask plus
-  /// the fallback-path glue classes.
+  /// library; the machine-code verifier checks PCODE output against this
+  /// mask plus the fallback-path glue classes.
   std::uint64_t classMask() const { return ClassMask; }
   std::uint64_t buildCycles() const { return BuildCycles; }
   unsigned stencilCount() const { return Count; }

@@ -547,6 +547,9 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   // Re-point every recorded imm64 at this process's addresses. The stored
   // ordinals index K.Refs — the fresh walk's captures in the same canonical
   // order — so old address i maps to current address i by construction.
+  // The same walk collects the slots the admission verifier below trusts.
+  std::vector<verify::AdmissionReloc> ARelocs;
+  ARelocs.reserve(NumRelocs);
   const std::uint8_t *RL = recRelocs(R);
   for (std::size_t I = 0; I < NumRelocs; ++I, RL += RelocLen) {
     std::size_t Offset = rd32(RL);
@@ -554,6 +557,8 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
     std::uint32_t Ordinal = rd32(RL + 8);
     if (Offset + 8 > CodeLen)
       return Reject();
+    ARelocs.push_back({static_cast<std::uint32_t>(Offset),
+                       static_cast<std::uint8_t>(Kind)});
     std::uint64_t Target;
     if (Kind == static_cast<std::uint32_t>(support::RelocKind::Profile)) {
       if (!Prof)
@@ -574,13 +579,9 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   // confines every indirect call to addresses the loader's own key walk
   // declared. A hostile record with a stray call target, a mid-instruction
   // branch, an unbalanced path, or a reloc aimed at an opcode byte is a
-  // counted reject that falls back to a fresh compile.
-  std::vector<verify::AdmissionReloc> ARelocs;
-  ARelocs.reserve(NumRelocs);
-  const std::uint8_t *RL2 = recRelocs(R);
-  for (std::size_t I = 0; I < NumRelocs; ++I, RL2 += RelocLen)
-    ARelocs.push_back(
-        {rd32(RL2), static_cast<std::uint8_t>(rd32(RL2 + 4))});
+  // counted reject that falls back to a fresh compile. Its cycles feed
+  // verify.admit.* only: a load is not a compile, so it stays out of the
+  // verify.cycles overhead charged against compile time.
   std::uint64_t A0 = readCycleCounterBegin();
   verify::AdmissionInputs AI;
   AI.Code = Base;
@@ -591,8 +592,7 @@ core::CompiledFn SnapshotCache::tryLoad(const cache::PersistKey &K,
   AI.NumRelocs = ARelocs.size();
   AI.HaveRelocs = true;
   verify::Result VR = verify::verifyAdmission(AI);
-  verify::recordOutcome(verify::Layer::Admit, !VR.ok(),
-                        readCycleCounterEnd() - A0);
+  verify::recordAdmission(!VR.ok(), readCycleCounterEnd() - A0);
   if (!VR.ok()) {
     // The render (with CFG + abstract-state dump) is observable without
     // aborting: hostile input must degrade to a recompile, not kill the

@@ -5,11 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Layer 5: proof-before-execute admission of finalized machine code, in the
-// spirit of SFI/NaCl-style static validators. Where MachineAudit checks the
-// *linear* shape of the stream, this pass recovers the control-flow graph
-// and proves path-sensitive properties by worklist abstract interpretation:
+// Layer 3, the one machine-code checker: proof-before-execute admission of
+// finalized machine code, in the spirit of SFI/NaCl-style static
+// validators. It strict-decodes the region once, recovers the control-flow
+// graph and proves path-sensitive properties by worklist abstract
+// interpretation:
 //
+//  * strict decode — every byte decodes canonically (x86/X86Decoder.h) and
+//    instruction boundaries land exactly on the region end;
+//  * prologue — the canonical `push rbp; mov rbp, rsp; sub rsp, imm32`
+//    frame with a 16-aligned reserve covering the callee-save area;
 //  * CFG recovery — every relative branch lands on an instruction boundary
 //    inside the region, the region ends in a terminator (no fallthrough off
 //    the end), and indirect jumps are never admitted. Unreachable ranges
@@ -50,7 +55,21 @@
 //    through the xmm file (movq/cvt round-trips preserve values), and
 //    byte-accurately through rbp-relative frame cells of every access
 //    width (two dword stores cannot assemble a stray target inside a
-//    qword spill slot).
+//    qword spill slot);
+//  * profile hook — the planted `lock inc` targets exactly the registered
+//    counter, and only when profiling was requested.
+//
+// Fresh compiles (under TICKC_VERIFY) add their backend's obligations on the
+// same decode, CFG and frame-cell model; snapshot loads never pay for them:
+//
+//  * spill store-before-load (ICODE) — a must-init bit per tracked frame
+//    cell, intersected at joins: a qword or SSE reload from a cell at or
+//    below the first spill slot must be initialized on every path;
+//  * EmitterUsage cross-check (ICODE) — every decoded instruction is
+//    explainable by an ICODE opcode the link-time-pruning usage table
+//    recorded, so the assembler and the pruning table cannot drift apart;
+//  * stencil-class vocabulary (PCODE) — every decoded instruction class is
+//    one the stencil library rendered or the encoder-fallback glue emits.
 //
 // The abstract state lattice is documented in DESIGN.md ("Machine-code
 // admission"); rejection diagnostics carry a hex window plus a CFG +
@@ -69,6 +88,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -80,7 +100,14 @@ using x86::InstrClass;
 
 namespace {
 
-constexpr std::uint8_t RegRBX = 3, RegRSP = 4, RegRBP = 5, RegR10 = 10;
+using icode::Op;
+
+constexpr std::uint8_t RegRAX = 0, RegRBX = 3, RegRSP = 4, RegRBP = 5,
+                       RegR10 = 10;
+
+/// Byte offset of the first spill slot below the frame pointer: the 40-byte
+/// callee-save area comes first, slots follow (VCode::slotOffset).
+constexpr std::int32_t FirstSlotOff = -48;
 
 /// Callee-saved pool registers and their canonical save slots below rbp
 /// (vcode::detail::IntPoolPhys order: rbx, r12..r15 at [rbp-8(i+1)]).
@@ -99,6 +126,136 @@ std::uint8_t calleeRegForSlot(std::int32_t Disp) {
     if (Disp == -8 * static_cast<std::int32_t>(I + 1))
       return CalleeSavedRegs[I];
   return 0xff;
+}
+
+bool isIntArgReg(std::uint8_t R) {
+  // rdi, rsi, rdx, rcx, r8, r9
+  return R == 7 || R == 6 || R == 2 || R == 1 || R == 8 || R == 9;
+}
+
+/// EmitterUsage cross-check: can an ICODE opcode the usage table recorded
+/// account for \p D? Scaffold instructions (frame setup, register
+/// shuffling, rbp-relative spill/save traffic, nop fill) are emitted for
+/// bookkeeping regardless of the IR content and always pass.
+bool emitterJustified(const Decoded &D, const icode::EmitterUsage &U) {
+  auto any = [&U](std::initializer_list<Op> Ops) {
+    for (Op O : Ops)
+      if (U.isUsed(O))
+        return true;
+    return false;
+  };
+  switch (D.Cls) {
+  case InstrClass::Push:
+  case InstrClass::Pop:
+  case InstrClass::Ret:
+  case InstrClass::Nop:
+  case InstrClass::MovRR:
+  case InstrClass::SseMov:
+    return true;
+  case InstrClass::MovImm32: // `mov eax, nfp` before a vararg-ABI call
+    return D.Rm == RegRAX ? any({Op::SetI, Op::Call, Op::CallIndirect})
+                          : any({Op::SetI});
+  case InstrClass::MovImm64:
+    if (D.Rm == 10 || D.Rm == 11) // scratch: call targets, wide constants
+      return true;
+    return isIntArgReg(D.Rm) ? any({Op::CallArgP, Op::CallArgII})
+                             : any({Op::SetL, Op::SetP});
+  case InstrClass::MovImmSExt:
+    return any({Op::SetL, Op::SetP, Op::DivII, Op::ModII});
+  case InstrClass::Load:
+    return D.Rm == RegRBP || any({D.RexW ? Op::LdL : Op::LdI});
+  case InstrClass::LoadSExt8: return any({Op::LdI8s});
+  case InstrClass::LoadZExt8: return any({Op::LdI8u});
+  case InstrClass::LoadSExt16: return any({Op::LdI16s});
+  case InstrClass::LoadZExt16: return any({Op::LdI16u});
+  case InstrClass::Store8: return any({Op::StI8});
+  case InstrClass::Store16: return any({Op::StI16});
+  case InstrClass::Store32: return any({Op::StI});
+  case InstrClass::Store64: return D.Rm == RegRBP || any({Op::StL});
+  case InstrClass::LockInc: return any({Op::ProfileInc});
+  case InstrClass::AluRR:
+    switch (D.Op8) {
+    case 0x03:
+      return any({Op::AddI, Op::AddL, Op::MulII, Op::DivII, Op::ModII});
+    case 0x2B:
+      return any({Op::SubI, Op::SubL, Op::MulII, Op::DivII, Op::ModII});
+    case 0x23: return any({Op::AndI});
+    case 0x0B: return any({Op::OrI});
+    case 0x33: // also `xor eax, eax` for nfp = 0 before a call
+      return any({Op::XorI, Op::SetI, Op::SetL, Op::SetP, Op::DivUI,
+                  Op::ModUI, Op::Call, Op::CallIndirect});
+    default: // 0x3B cmp
+      return any({Op::CmpSetI, Op::CmpSetL, Op::BrCmpI, Op::BrCmpL});
+    }
+  case InstrClass::TestRR: return any({Op::BrTrue, Op::BrFalse});
+  case InstrClass::AluRI:
+    switch (D.Reg & 7) {
+    case 0: return any({Op::AddII, Op::AddLI});
+    case 1: return any({Op::OrII});
+    case 4: return any({Op::AndII});
+    case 5: // `sub rsp, imm` is the patchable frame reserve
+      return (D.RexW && D.Rm == RegRSP) || any({Op::SubII});
+    case 6: return any({Op::XorII});
+    default: return any({Op::CmpSetII, Op::BrCmpII}); // 7 cmp
+    }
+  case InstrClass::ImulRR: return any({Op::MulI, Op::MulL});
+  case InstrClass::ImulRRI:
+    return D.RexW ? any({Op::MulLI, Op::DivII, Op::ModII}) : any({Op::MulII});
+  case InstrClass::UnaryGrp:
+    switch (D.Reg & 7) {
+    case 2: return any({Op::NotI});
+    case 3: return any({Op::NegI, Op::MulII, Op::DivII, Op::ModII});
+    case 6: return any({Op::DivUI, Op::ModUI});
+    default: return any({Op::DivI, Op::ModI, Op::DivII, Op::ModII}); // idiv
+    }
+  case InstrClass::Cdq:
+    return !D.RexW && any({Op::DivI, Op::ModI, Op::DivII, Op::ModII});
+  case InstrClass::ShiftCl:
+    switch (D.Reg & 7) {
+    case 4: return any({Op::ShlI});
+    case 5: return any({Op::UShrI});
+    default: return any({Op::ShrI});
+    }
+  case InstrClass::ShiftImm:
+    return any({Op::ShlII, Op::ShrII, Op::UShrII, Op::ShlLI, Op::MulII,
+                Op::MulLI, Op::DivII, Op::ModII});
+  case InstrClass::Movsxd: return any({Op::SextIToL, Op::DivII, Op::ModII});
+  case InstrClass::Movzx8RR:
+  case InstrClass::Setcc:
+    return any({Op::CmpSetI, Op::CmpSetII, Op::CmpSetL, Op::CmpSetD});
+  case InstrClass::Jcc:
+    return any({Op::BrCmpI, Op::BrCmpII, Op::BrCmpL, Op::BrCmpD, Op::BrTrue,
+                Op::BrFalse});
+  case InstrClass::Jmp: return any({Op::Jump});
+  case InstrClass::CallInd: return any({Op::Call, Op::CallIndirect});
+  case InstrClass::SseLoad: return D.Rm == RegRBP || any({Op::LdD});
+  case InstrClass::SseStore: return D.Rm == RegRBP || any({Op::StD});
+  case InstrClass::SseArith:
+    switch (D.Op8) {
+    case 0x58: return any({Op::AddD});
+    case 0x5C: return any({Op::SubD, Op::NegD});
+    case 0x59: return any({Op::MulD});
+    case 0x5E: return any({Op::DivD});
+    default: return false; // sqrtsd: never generated from ICODE
+    }
+  case InstrClass::SseUcomi: return any({Op::CmpSetD, Op::BrCmpD});
+  case InstrClass::SseXorpd: return any({Op::SetD, Op::NegD});
+  case InstrClass::SseCvtSI2SD:
+    return any({D.RexW ? Op::CvtLToD : Op::CvtIToD});
+  case InstrClass::SseCvtSD2SI: return !D.RexW && any({Op::CvtDToI});
+  case InstrClass::MovqXR: return any({Op::SetD});
+  // Assembler surface the back ends never reach: an occurrence is itself
+  // the finding.
+  case InstrClass::Ud2:
+  case InstrClass::Lea:
+  case InstrClass::Movsx8RR:
+  case InstrClass::Movzx16RR:
+  case InstrClass::Movsx16RR:
+  case InstrClass::JmpInd:
+  case InstrClass::MovqRX:
+    return false;
+  }
+  return false;
 }
 
 /// Provenance of a 64-bit value, for the call-target confinement proof.
@@ -129,6 +286,8 @@ struct AbsState {
                                ///< 48-bit pointers exactly, so the xmm
                                ///< file is a laundering channel too).
   std::vector<Prov> Slot;      ///< Per tracked rbp frame-cell provenance.
+  std::vector<std::uint64_t> Init; ///< Must-initialized frame cells (∩ at
+                                   ///< joins); empty unless ICodeDiscipline.
 
   bool sameShape(const AbsState &O) const {
     return Depth == O.Depth && RbpDepth == O.RbpDepth;
@@ -142,7 +301,6 @@ struct Admission {
   Result &R;
   std::vector<Decoded> Ins;
   std::vector<std::uint32_t> Starts;
-  std::vector<std::uint8_t> IsStart;
   std::vector<std::size_t> StartToIdx;
 
   // Per decoded movabs: the reloc kind of the slot its payload sits on, or
@@ -197,7 +355,6 @@ struct Admission {
   //===--------------------------------------------------------------------===
 
   bool decodeAll() {
-    IsStart.assign(In.Size, 0);
     StartToIdx.assign(In.Size, SIZE_MAX);
     if (In.Size == 0) {
       fail(0, "boundary", "empty code region");
@@ -213,13 +370,33 @@ struct Admission {
              std::string(Err ? Err : "undecodable bytes"));
         return false;
       }
-      IsStart[Off] = 1;
       StartToIdx[Off] = Ins.size();
       Starts.push_back(static_cast<std::uint32_t>(Off));
       Ins.push_back(D);
+      checkVocabulary(D, Off);
       Off += D.Len;
     }
     return true;
+  }
+
+  /// The fresh-compile per-instruction predicates: PCODE output must stay
+  /// inside the stencil-class mask, ICODE output inside what EmitterUsage
+  /// recorded.
+  void checkVocabulary(const Decoded &D, std::size_t Off) {
+    if (In.StencilClassMask &&
+        !(In.StencilClassMask &
+          (std::uint64_t(1) << static_cast<unsigned>(D.Cls))))
+      fail(Off, "stencil-class",
+           std::string("decoded `") + x86::instrClassName(D.Cls) +
+               "` is outside the stencil library's rendered vocabulary "
+               "and the encoder-fallback glue set (patch corrupted an "
+               "opcode byte, or the library drifted from the emitter)");
+    if (In.ICodeDiscipline &&
+        !emitterJustified(D, icode::ICode::emitterUsage()))
+      fail(Off, "emitter-usage",
+           std::string("decoded `") + x86::instrClassName(D.Cls) +
+               "` has no recorded ICODE opcode that could have emitted it "
+               "(assembler/pruning-table drift)");
   }
 
   //===--------------------------------------------------------------------===
@@ -315,7 +492,7 @@ struct Admission {
              "relative branch leaves the region (target " + std::to_string(T) +
                  ")");
         Ok = false;
-      } else if (!IsStart[static_cast<std::size_t>(T)]) {
+      } else if (StartToIdx[static_cast<std::size_t>(T)] == SIZE_MAX) {
         fail(Starts[I], "branch-target",
              "branch target 0x" + [&] {
                char B[16];
@@ -464,7 +641,23 @@ struct Admission {
         continue;
       bool Covers = Disp <= C.Disp && Disp + W >= C.Disp + C.Width;
       S.Slot[CI] = Covers ? P : provJoin(S.Slot[CI], P);
+      if (Covers && !S.Init.empty())
+        detail::bitSet(S.Init.data(), static_cast<std::uint32_t>(CI));
     }
+  }
+
+  /// ICODE spill discipline: is \p D a qword or SSE reload from a spill
+  /// slot whose cell is not initialized on every path into \p S?
+  bool uninitReload(const AbsState &S, const Decoded &D) const {
+    if (S.Init.empty() || !D.IsMem || D.Rm != RegRBP ||
+        D.Disp > FirstSlotOff ||
+        !((D.Cls == InstrClass::Load && D.RexW) ||
+          D.Cls == InstrClass::SseLoad))
+      return false;
+    for (std::size_t CI = 0; CI < Cells.size(); ++CI)
+      if (Cells[CI].Disp == D.Disp)
+        return !detail::bitTest(S.Init.data(), static_cast<std::uint32_t>(CI));
+    return true;
   }
 
   /// Provenance of a load range: the join of every overlapped cell over a
@@ -587,6 +780,12 @@ struct Admission {
         }
       }
     }
+
+    if (Report && uninitReload(S, D))
+      fail(Starts[I], "spill-reload",
+           "load from spill slot [rbp" + dispStr(D.Disp) +
+               "] that is not initialized on all paths",
+           /*WithCfg=*/true);
 
     switch (D.Cls) {
     case InstrClass::Push:
@@ -944,6 +1143,13 @@ struct Admission {
         Changed = true;
       }
     }
+    for (std::size_t W = 0; W < T.Init.size(); ++W) {
+      std::uint64_t N = T.Init[W] & Out.Init[W];
+      if (N != T.Init[W]) {
+        T.Init[W] = N;
+        Changed = true;
+      }
+    }
     return Changed;
   }
 
@@ -958,6 +1164,8 @@ struct Admission {
     std::fill(std::begin(Entry.Reg), std::end(Entry.Reg), Prov::Computed);
     std::fill(std::begin(Entry.Xmm), std::end(Entry.Xmm), Prov::Computed);
     Entry.Slot.assign(Cells.size(), Prov::Computed);
+    if (In.ICodeDiscipline) // Never empty: empty means untracked.
+      Entry.Init.assign(Cells.size() / 64 + 1, 0);
     InState[0] = Entry;
 
     std::vector<std::size_t> Work{0};
@@ -967,11 +1175,12 @@ struct Admission {
     // the converged states (so transient pre-fixpoint states cannot produce
     // spurious findings). Join-shape mismatches are definitive (equality
     // domain) and report immediately.
+    AbsState S; // Reused across blocks: assignment keeps its capacity.
     while (!Work.empty()) {
       std::size_t BI = Work.back();
       Work.pop_back();
       InWork[BI] = 0;
-      AbsState S = InState[BI];
+      S = InState[BI];
       bool Alive = true;
       for (std::size_t I = Blocks[BI].Begin; Alive && I < Blocks[BI].End; ++I)
         Alive = step(S, I, /*Report=*/false);
@@ -990,7 +1199,7 @@ struct Admission {
     for (std::size_t BI = 0; BI < Blocks.size(); ++BI) {
       if (!InState[BI].Valid)
         continue; // Only reachable via a path already reported broken.
-      AbsState S = InState[BI];
+      S = InState[BI];
       for (std::size_t I = Blocks[BI].Begin; I < Blocks[BI].End; ++I)
         if (!step(S, I, /*Report=*/true))
           break;
@@ -998,7 +1207,7 @@ struct Admission {
   }
 
   //===--------------------------------------------------------------------===
-  // Phase 5: profile hook (same linear pairing MachineAudit proves).
+  // Phase 5: profile hook (linear pairing with the planted movabs).
   //===--------------------------------------------------------------------===
 
   void checkProfile() {
@@ -1070,11 +1279,13 @@ struct Admission {
   void run() {
     if (!decodeAll())
       return;
+    // Vocabulary findings from the decode loop do not block the flow
+    // analysis; a broken frame or reloc table does.
     bool PrologueOk = checkPrologue();
-    checkRelocShape();
+    bool RelocsOk = checkRelocShape();
     if (!buildCfg())
       return;
-    if (PrologueOk && R.ok())
+    if (PrologueOk && RelocsOk)
       interpret();
     checkProfile();
 

@@ -30,7 +30,6 @@ const char *layerName(Layer L) {
   case Layer::Spec: return "spec";
   case Layer::IR: return "ir";
   case Layer::RegAlloc: return "alloc";
-  case Layer::Machine: return "code";
   case Layer::Admit: return "admit";
   }
   return "?";
@@ -76,7 +75,6 @@ struct VerifyMetrics {
   obs::Counter &SpecChecked, &SpecFailed;
   obs::Counter &IrChecked, &IrFailed;
   obs::Counter &AllocChecked, &AllocFailed;
-  obs::Counter &CodeChecked, &CodeFailed;
   obs::Counter &AdmitChecked, &AdmitFailed, &AdmitCycles;
   obs::Counter &Cycles;
 
@@ -90,8 +88,6 @@ struct VerifyMetrics {
                            R.counter(N::VerifyIrFailed),
                            R.counter(N::VerifyAllocChecked),
                            R.counter(N::VerifyAllocFailed),
-                           R.counter(N::VerifyCodeChecked),
-                           R.counter(N::VerifyCodeFailed),
                            R.counter(N::VerifyAdmitChecked),
                            R.counter(N::VerifyAdmitFailed),
                            R.counter(N::VerifyAdmitCycles),
@@ -121,19 +117,19 @@ void recordOutcome(Layer L, bool Failed, std::uint64_t Cycles) {
     if (Failed)
       M.AllocFailed.inc();
     break;
-  case Layer::Machine:
-    M.CodeChecked.inc();
-    if (Failed)
-      M.CodeFailed.inc();
-    break;
   case Layer::Admit:
-    M.AdmitChecked.inc();
-    if (Failed)
-      M.AdmitFailed.inc();
-    M.AdmitCycles.inc(Cycles);
+    recordAdmission(Failed, Cycles);
     break;
   }
   M.Cycles.inc(Cycles);
+}
+
+void recordAdmission(bool Failed, std::uint64_t Cycles) {
+  VerifyMetrics &M = VerifyMetrics::get();
+  M.AdmitChecked.inc();
+  if (Failed)
+    M.AdmitFailed.inc();
+  M.AdmitCycles.inc(Cycles);
 }
 
 void failCompile(const Result &R) {

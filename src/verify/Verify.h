@@ -20,10 +20,14 @@
 ///              allocator's assignment is conflict-free, correctly shaped,
 ///              and keeps no float in a (caller-saved) register across a
 ///              call.
-///   Machine  — decodes the finalized region with the strict x86 decoder
-///              and checks boundaries, branch targets, frame discipline,
-///              the planted profile counter, spill-slot initialization, and
-///              the EmitterUsage cross-check.
+///   Admit    — the one machine-code checker: strict-decodes the finalized
+///              region once, recovers its CFG and proves frame, stack,
+///              callee-saved, call-target and profile-hook discipline by
+///              abstract interpretation. Every snapshot load runs it
+///              unconditionally; fresh compiles run it under the verify gate
+///              with the backend's extra obligations switched on (ICODE
+///              spill store-before-load and EmitterUsage cross-check, PCODE
+///              stencil-class vocabulary).
 ///
 /// Every checker is deliberately *independent* of the code it audits: it
 /// has its own operand-signature table, its own CFG construction, and its
@@ -52,7 +56,7 @@ struct StmtNode;
 
 namespace verify {
 
-enum class Layer : std::uint8_t { Spec, IR, RegAlloc, Machine, Admit };
+enum class Layer : std::uint8_t { Spec, IR, RegAlloc, Admit };
 
 const char *layerName(Layer L);
 
@@ -90,7 +94,7 @@ bool envEnabled();
 /// Effective gate: explicit option or ambient environment.
 inline bool enabled(bool OptFlag) { return OptFlag || envEnabled(); }
 
-/// Layer 4 (runs first): cspec tree lint before lowering.
+/// Layer 0 (runs first): cspec tree lint before lowering.
 Result lintSpec(const core::Context &Ctx, const core::StmtNode *Body);
 
 /// Layer 1: ICODE verification over the builder's own stream.
@@ -105,37 +109,6 @@ Result verifyInstrs(const icode::ICode &IC, const icode::Instr *Instrs,
 /// Layer 2: audits a finished register allocation against independently
 /// recomputed exact liveness.
 Result auditAllocation(const icode::ICode &IC, const icode::Allocation &Alloc);
-
-/// Inputs for the emitted-code audit. Code must be a *readable* view of the
-/// finalized region (the region's writable base, before or after
-/// makeExecutable).
-struct MachineAuditInputs {
-  const std::uint8_t *Code = nullptr;
-  std::size_t Size = 0;
-  /// Address the ProfileInc counter must target; null when profiling is off.
-  const void *ProfileCounter = nullptr;
-  /// When set, the function must contain exactly the planted counter
-  /// increments; when clear, any `lock inc` is an error.
-  bool ExpectProfile = false;
-  /// ICODE-backend compiles only: assert every decoded instruction is
-  /// justified by an opcode EmitterUsage recorded (link-time-pruning drift
-  /// check).
-  bool CrossCheckEmitterUsage = false;
-  /// ICODE-backend compiles only: spill slots obey store-before-load on all
-  /// paths. (VCODE output has no such guarantee — an uninitialized C local
-  /// may legitimately be read.)
-  bool CheckSpillDiscipline = false;
-  /// PCODE-backend compiles only: every decoded instruction's x86::InstrClass
-  /// bit must be set in StencilClassMask (the stencil library's rendered
-  /// vocabulary ∪ the encoder-fallback glue classes). A class outside the
-  /// mask means a stencil patch landed on an opcode byte or the library
-  /// drifted from the emitter it was rendered from.
-  bool CheckStencilClasses = false;
-  std::uint64_t StencilClassMask = 0;
-};
-
-/// Layer 3: strict decode + structural audit of the emitted bytes.
-Result auditMachineCode(const MachineAuditInputs &In);
 
 /// One relocation slot the admission verifier may trust: \p Offset is the
 /// byte offset of a movabs imm64 *payload* inside the region, \p Kind a
@@ -165,9 +138,21 @@ struct AdmissionInputs {
   const AdmissionReloc *Relocs = nullptr;
   std::size_t NumRelocs = 0;
   bool HaveRelocs = false;
+  /// Fresh ICODE compiles only: frame cells at or below the first spill
+  /// slot obey store-before-load on all paths (VCODE output has no such
+  /// guarantee — an uninitialized C local may legitimately be read), and
+  /// every decoded instruction must be justified by an opcode EmitterUsage
+  /// recorded (assembler/link-time-pruning drift check).
+  bool ICodeDiscipline = false;
+  /// Fresh PCODE compiles only (0 = no check): every decoded instruction's
+  /// x86::InstrClass bit must be set — the stencil library's rendered
+  /// vocabulary plus the encoder-fallback glue classes. A class outside the
+  /// mask means a stencil patch landed on an opcode byte or the library
+  /// drifted from the emitter it was rendered from.
+  std::uint64_t StencilClassMask = 0;
 };
 
-/// Layer 5: flow-sensitive machine-code admission. Recovers the full CFG
+/// Layer 3: flow-sensitive machine-code admission. Recovers the full CFG
 /// from the decoded stream (branch targets on boundaries, well-formed
 /// terminator structure; unreachable ranges are admitted but proven inert —
 /// no reachable transfer can enter them), then runs a worklist
@@ -175,13 +160,19 @@ struct AdmissionInputs {
 /// save/restore obligations on *all* paths to every ret, frame-pointer
 /// integrity (no rsp/rbp escape, no store above the frame), and the
 /// reloc-shape/call-target confinement properties. Every snapshot load must
-/// pass this before its bytes can execute; under TICKC_VERIFY it also runs
-/// on fresh compiles from all three backends.
+/// pass this before its bytes can execute; under TICKC_VERIFY it is also
+/// the machine-code check of fresh compiles from all three backends.
 Result verifyAdmission(const AdmissionInputs &In);
 
 /// Feeds verify.<layer>.{checked,failed} and verify.cycles into the
-/// MetricsRegistry.
+/// MetricsRegistry, for a check that ran inside a compile (verify.cycles is
+/// the verify overhead those compiles paid on top of compile.cycles.total).
 void recordOutcome(Layer L, bool Failed, std::uint64_t Cycles);
+
+/// Feeds verify.admit.{checked,failed,cycles} only. Snapshot loads call it
+/// directly: their admission runs outside any compile, so it must stay out
+/// of verify.cycles. recordOutcome(Layer::Admit, ...) calls it as well.
+void recordAdmission(bool Failed, std::uint64_t Cycles);
 
 /// Prints the rendered result to stderr and aborts the compile via
 /// reportFatalError. Only called when a checker found corruption — a wrong

@@ -19,7 +19,7 @@
 //    the patchable frame-reserve `sub rsp, imm32` the prologue uses.
 //
 // Anything outside these rules is an error even if the CPU would happily
-// execute it — the auditor treats "the Assembler could not have written
+// execute it — the verifier treats "the Assembler could not have written
 // this" as proof of corruption.
 //
 //===----------------------------------------------------------------------===//

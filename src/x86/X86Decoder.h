@@ -7,11 +7,11 @@
 ///
 /// \file
 /// A deliberately narrow x86-64 decoder covering exactly the encodings
-/// x86::Assembler can produce — the read half of the emitted-code auditor
-/// (src/verify). It is strict on purpose: any byte sequence the Assembler
-/// would not emit, including architecturally valid but non-canonical
-/// variants (a longer-than-needed displacement, a redundant REX prefix, a
-/// RIP-relative operand), is a decode error. That strictness is what gives
+/// x86::Assembler can produce — the read half of the machine-code verifier
+/// (src/verify/AdmissionVerify.cpp). It is strict on purpose: any byte
+/// sequence the Assembler would not emit, including architecturally valid
+/// but non-canonical variants (a longer-than-needed displacement, a
+/// redundant REX prefix, a RIP-relative operand), is a decode error. That strictness is what gives
 /// the mutation self-test its teeth: almost any flipped bit lands outside
 /// the canonical encoding set and is rejected at the decode layer before
 /// the structural checks even run.

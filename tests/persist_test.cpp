@@ -19,6 +19,8 @@
 #include "cache/SpecKey.h"
 #include "core/Compile.h"
 #include "core/Context.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
 #include "persist/Snapshot.h"
 #include "support/Fingerprint.h"
 #include "support/Hash.h"
@@ -304,6 +306,31 @@ TEST(Snapshot, ProfiledLoadPatchesFreshCounter) {
   EXPECT_EQ(H->as<int(int)>()(3), 10);
   EXPECT_EQ(H->profile()->Invocations.load(), 3u);
   EXPECT_STREQ(H->profile()->Backend.load(), "snapshot");
+}
+
+TEST(Snapshot, LoadAdmissionStaysOutOfCompileVerifyCycles) {
+  // A load's admission runs outside any compile: it feeds verify.admit.*,
+  // but not verify.cycles, which tickc-report prints as verify overhead on
+  // top of compile cycles.
+  static int Cell = 9;
+  TempDir Dir;
+  {
+    CompileService S1(snapConfig(Dir));
+    (void)compileCell(S1, &Cell);
+  }
+  CompileService S2(snapConfig(Dir));
+  obs::MetricsRegistry &Reg = obs::MetricsRegistry::global();
+  obs::MetricsSnapshot Before = Reg.snapshot();
+  FnHandle H = compileCell(S2, &Cell); // Verify off.
+  obs::MetricsSnapshot After = Reg.snapshot();
+  ASSERT_TRUE(H->fromSnapshot());
+  EXPECT_EQ(H->as<int(int)>()(1), 10);
+  namespace N = obs::names;
+  EXPECT_EQ(After.counter(N::VerifyAdmitChecked),
+            Before.counter(N::VerifyAdmitChecked) + 1);
+  EXPECT_GT(After.counter(N::VerifyAdmitCycles),
+            Before.counter(N::VerifyAdmitCycles));
+  EXPECT_EQ(After.counter(N::VerifyCycles), Before.counter(N::VerifyCycles));
 }
 
 // --- Rejection and recovery -------------------------------------------------

@@ -22,6 +22,7 @@
 #include "icode/ICode.h"
 #include "observability/Metrics.h"
 #include "observability/Names.h"
+#include "pcode/PCode.h"
 #include "support/Reloc.h"
 #include "verify/Verify.h"
 #include "vcode/VCode.h"
@@ -237,66 +238,122 @@ void runAllocCase(
     ++T.Rejected;
 }
 
-// --- Machine-code mutation harness ------------------------------------------
+// --- Machine-code mutation harness -----------------------------------------
 
-struct CompiledBytes {
+/// One unit for the admission mutation harness: finalized bytes plus the
+/// reloc side table and profile expectation — exactly what a snapshot
+/// record presents to verify::verifyAdmission after patching.
+struct AdmitProgram {
   std::vector<std::uint8_t> Bytes;
   std::vector<x86::Decoded> Ins;
   std::vector<std::size_t> Starts;
+  std::vector<verify::AdmissionReloc> Relocs;
+  bool HaveRelocs = false;
   const void *Counter = nullptr;
   bool Profiled = false;
 
-  static CompiledBytes of(const CompiledFn &F) {
-    CompiledBytes B;
-    B.Bytes.resize(F.stats().CodeBytes);
-    std::memcpy(B.Bytes.data(), F.entry(), B.Bytes.size());
-    B.Profiled = F.profile() != nullptr;
-    B.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
+  void decode() {
+    Ins.clear();
+    Starts.clear();
     std::size_t Off = 0;
-    while (Off < B.Bytes.size()) {
+    while (Off < Bytes.size()) {
       x86::Decoded D;
       const char *Err = nullptr;
-      if (!x86::decodeOne(B.Bytes.data(), B.Bytes.size(), Off, D, &Err)) {
-        ADD_FAILURE() << "clean code does not decode at +" << Off << ": "
-                      << (Err ? Err : "?");
-        break;
-      }
-      B.Starts.push_back(Off);
-      B.Ins.push_back(D);
+      if (!x86::decodeOne(Bytes.data(), Bytes.size(), Off, D, &Err))
+        break; // Hostile streams may stop decoding; the verifier says why.
+      Starts.push_back(Off);
+      Ins.push_back(D);
       Off += D.Len;
     }
-    return B;
   }
 
-  verify::MachineAuditInputs inputs() const {
-    verify::MachineAuditInputs MA;
-    MA.Code = Bytes.data();
-    MA.Size = Bytes.size();
-    MA.ProfileCounter = Counter;
-    MA.ExpectProfile = Profiled;
-    return MA;
+  static AdmitProgram of(const CompiledFn &F, const support::RelocTable *RT) {
+    AdmitProgram P;
+    P.Bytes.resize(F.stats().CodeBytes);
+    std::memcpy(P.Bytes.data(), F.entry(), P.Bytes.size());
+    P.Profiled = F.profile() != nullptr;
+    P.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
+    if (RT && !RT->Unportable) {
+      P.HaveRelocs = true;
+      for (const support::RelocEntry &E : RT->Entries)
+        P.Relocs.push_back({E.Offset, static_cast<std::uint8_t>(E.Kind)});
+    }
+    P.decode();
+    return P;
+  }
+
+  static AdmitProgram hand(std::vector<std::uint8_t> B) {
+    AdmitProgram P;
+    P.Bytes = std::move(B);
+    P.decode();
+    return P;
+  }
+
+  verify::AdmissionInputs inputs() const {
+    verify::AdmissionInputs AI;
+    AI.Code = Bytes.data();
+    AI.Size = Bytes.size();
+    AI.ProfileCounter = Counter;
+    AI.ExpectProfile = Profiled;
+    AI.Relocs = Relocs.empty() ? nullptr : Relocs.data();
+    AI.NumRelocs = Relocs.size();
+    AI.HaveRelocs = HaveRelocs;
+    return AI;
   }
 };
 
-void runByteCase(MutationTally &T, const CompiledBytes &Clean,
-                 const char *Category,
-                 const std::function<void(std::vector<std::uint8_t> &,
-                                          verify::MachineAuditInputs &)>
-                     &Mutate,
-                 const std::string &What) {
-  std::vector<std::uint8_t> Buf = Clean.Bytes;
-  verify::MachineAuditInputs MA = Clean.inputs();
-  Mutate(Buf, MA);
-  MA.Code = Buf.data();
-  verify::Result R = verify::auditMachineCode(MA);
+/// Canonical frame around \p Body: push rbp / mov rbp, rsp / sub rsp, 48 /
+/// <body> / mov rsp, rbp / pop rbp / ret. Body instructions start at +11.
+std::vector<std::uint8_t> handFrame(const std::vector<std::uint8_t> &Body) {
+  std::vector<std::uint8_t> B = {0x55, 0x48, 0x8B, 0xEC, 0x48, 0x81,
+                                 0xEC, 0x30, 0x00, 0x00, 0x00};
+  B.insert(B.end(), Body.begin(), Body.end());
+  const std::uint8_t Epi[] = {0x48, 0x8B, 0xE5, 0x5D, 0xC3};
+  B.insert(B.end(), std::begin(Epi), std::end(Epi));
+  return B;
+}
+
+void appendU64(std::vector<std::uint8_t> &B, std::uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    B.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
+}
+
+/// movabs r10, &dummyCallee / call r10 — the backends' only call shape.
+/// The movabs imm64 payload sits at body offset +2 (frame offset +13).
+std::vector<std::uint8_t> callBody() {
+  std::vector<std::uint8_t> B = {0x49, 0xBA};
+  appendU64(B, reinterpret_cast<std::uint64_t>(
+                   reinterpret_cast<const void *>(&dummyCallee)));
+  B.insert(B.end(), {0x41, 0xFF, 0xD2});
+  return B;
+}
+
+/// True when \p R carries one of the '|'-separated \p Categories.
+bool hasAny(const verify::Result &R, const std::string &Categories) {
+  for (const verify::Diagnostic &D : R.diags())
+    if (("|" + Categories + "|").find("|" + D.Category + "|") !=
+        std::string::npos)
+      return true;
+  return false;
+}
+
+/// Applies one mutation to a copy of \p P and checks the admission verifier
+/// rejects it with the expected category (or one of '|'-separated ones).
+void runAdmitCase(MutationTally &T, AdmitProgram P, const char *Category,
+                  const std::function<void(AdmitProgram &)> &Mutate,
+                  const std::string &What) {
+  Mutate(P);
+  verify::Result R = verify::verifyAdmission(P.inputs());
   ++T.Cases;
-  EXPECT_FALSE(R.ok()) << What << ": corruption was accepted";
-  EXPECT_TRUE(R.has(Category))
+  EXPECT_FALSE(R.ok()) << What << ": hostile record was admitted";
+  EXPECT_TRUE(hasAny(R, Category))
       << What << ": expected category '" << Category << "', got:\n"
       << R.render();
-  if (!R.ok() && R.has(Category))
+  if (!R.ok() && hasAny(R, Category))
     ++T.Rejected;
 }
+
+void admitNoop(AdmitProgram &) {}
 
 /// sum of n*n for n in [1, N] — a loop with a branch, a multiply, and an
 /// accumulator; compiles to branches + arithmetic under every backend.
@@ -318,6 +375,16 @@ CompiledFn compileDoubleFn(const CompileOptions &Opts) {
   VSpec X = C.paramDouble(0);
   Stmt Body = C.ret(Expr(X) * C.doubleConst(3.5) + C.doubleConst(1.25));
   return compileFn(C, Body, EvalType::Double, Opts);
+}
+
+/// f(x) = dummyCallee(x) + x — a body with a C call under every backend.
+CompiledFn compileCallFn(const CompileOptions &Opts) {
+  Context C;
+  VSpec X = C.paramInt(0);
+  Expr Call = C.callC(reinterpret_cast<const void *>(&dummyCallee),
+                      EvalType::Int, {Expr(X)});
+  Stmt Body = C.ret(Call + Expr(X));
+  return compileFn(C, Body, EvalType::Int, Opts);
 }
 
 } // namespace
@@ -353,12 +420,12 @@ TEST(VerifyAcceptClean, AllWorkloadsBothAllocatorsAndVCode) {
   EXPECT_EQ(After.counter(N::VerifyIrFailed), Before.counter(N::VerifyIrFailed));
   EXPECT_EQ(After.counter(N::VerifyAllocFailed),
             Before.counter(N::VerifyAllocFailed));
-  EXPECT_EQ(After.counter(N::VerifyCodeFailed),
-            Before.counter(N::VerifyCodeFailed));
+  EXPECT_EQ(After.counter(N::VerifyAdmitFailed),
+            Before.counter(N::VerifyAdmitFailed));
   EXPECT_GE(After.counter(N::VerifySpecChecked),
             Before.counter(N::VerifySpecChecked) + Compiled);
-  EXPECT_GE(After.counter(N::VerifyCodeChecked),
-            Before.counter(N::VerifyCodeChecked) + Compiled);
+  EXPECT_GE(After.counter(N::VerifyAdmitChecked),
+            Before.counter(N::VerifyAdmitChecked) + Compiled);
   // ICODE compiles verify the IR twice (post-walk + post-peephole) and audit
   // the allocation once.
   EXPECT_GT(After.counter(N::VerifyIrChecked),
@@ -674,126 +741,120 @@ TEST(VerifyMutation, CorruptedAllocationIsRejected) {
 
 TEST(VerifyMutation, CorruptedBytesAreRejected) {
   MutationTally T;
-  std::vector<CompiledBytes> Bodies;
+  std::vector<AdmitProgram> Bodies;
 
   for (BackendKind BK : {BackendKind::VCode, BackendKind::ICode}) {
     CompileOptions Opts;
     Opts.Backend = BK;
-    Bodies.push_back(CompiledBytes::of(compileLoopFn(Opts)));
-    Bodies.push_back(CompiledBytes::of(compileDoubleFn(Opts)));
+    Bodies.push_back(AdmitProgram::of(compileLoopFn(Opts), nullptr));
+    Bodies.push_back(AdmitProgram::of(compileDoubleFn(Opts), nullptr));
   }
   CompileOptions ProfOpts;
   ProfOpts.Backend = BackendKind::ICode;
   ProfOpts.Profile = true;
   ProfOpts.ProfileName = "verify-mutation";
   CompiledFn ProfFn = compileLoopFn(ProfOpts); // Outlives its counter uses.
-  Bodies.push_back(CompiledBytes::of(ProfFn));
+  Bodies.push_back(AdmitProgram::of(ProfFn, nullptr));
 
-  for (const CompiledBytes &CB : Bodies) {
-    ASSERT_FALSE(CB.Bytes.empty());
-    ASSERT_GE(CB.Ins.size(), 5u);
+  for (const AdmitProgram &P : Bodies) {
+    ASSERT_FALSE(P.Bytes.empty());
+    ASSERT_GE(P.Ins.size(), 5u);
     // Clean bytes pass.
     {
-      verify::Result R = verify::auditMachineCode(CB.inputs());
+      verify::Result R = verify::verifyAdmission(P.inputs());
       EXPECT_TRUE(R.ok()) << R.render();
     }
 
     // Bulk: an undecodable opcode byte at instruction starts.
-    for (std::size_t I = 0; I < CB.Starts.size(); I += 3)
-      runByteCase(T, CB, "decode",
-                  [&CB, I](std::vector<std::uint8_t> &Buf,
-                           verify::MachineAuditInputs &) {
-                    Buf[CB.Starts[I]] = 0x06; // push es: invalid in 64-bit.
-                  },
-                  "invalid opcode at instr " + std::to_string(I));
+    for (std::size_t I = 0; I < P.Starts.size(); I += 3) {
+      std::size_t Off = P.Starts[I];
+      runAdmitCase(T, P, "decode",
+                   [Off](AdmitProgram &M) {
+                     M.Bytes[Off] = 0x06; // push es: invalid in 64-bit.
+                   },
+                   "invalid opcode at instr " + std::to_string(I));
+    }
 
     // REX.X can never appear (neither emitter uses scaled indexing).
-    for (std::size_t I = 0; I < CB.Starts.size(); ++I)
-      if ((CB.Bytes[CB.Starts[I]] & 0xF0) == 0x40) {
-        runByteCase(T, CB, "decode",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      Buf[CB.Starts[I]] |= 0x02;
-                    },
-                    "REX.X planted at instr " + std::to_string(I));
+    for (std::size_t I = 0; I < P.Starts.size(); ++I)
+      if ((P.Bytes[P.Starts[I]] & 0xF0) == 0x40) {
+        std::size_t Off = P.Starts[I];
+        runAdmitCase(T, P, "decode",
+                     [Off](AdmitProgram &M) { M.Bytes[Off] |= 0x02; },
+                     "REX.X planted at instr " + std::to_string(I));
         break;
       }
 
-    // Every ret turned into a nop unbalances the frame.
-    for (std::size_t I = 0; I < CB.Ins.size(); ++I)
-      if (CB.Ins[I].Cls == x86::InstrClass::Ret)
-        runByteCase(T, CB, "stack-balance",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      Buf[CB.Starts[I]] = 0x90;
-                    },
-                    "ret replaced with nop");
+    // Every ret turned into a nop: the path runs on past its epilogue,
+    // either off the end of the region, into a frame access with rbp
+    // already popped, or into a ret at the wrong depth.
+    for (std::size_t I = 0; I < P.Ins.size(); ++I)
+      if (P.Ins[I].Cls == x86::InstrClass::Ret) {
+        std::size_t Off = P.Starts[I];
+        runAdmitCase(T, P, "stack-balance|cfg-fallthrough|frame-escape",
+                     [Off](AdmitProgram &M) { M.Bytes[Off] = 0x90; },
+                     "ret replaced with nop");
+      }
 
     // Every relative branch redirected out of the region.
-    for (std::size_t I = 0; I < CB.Ins.size(); ++I)
-      if (CB.Ins[I].Cls == x86::InstrClass::Jcc ||
-          CB.Ins[I].Cls == x86::InstrClass::Jmp)
-        runByteCase(T, CB, "branch-target",
-                    [&CB, I](std::vector<std::uint8_t> &Buf,
-                             verify::MachineAuditInputs &) {
-                      std::int32_t Wild = 1 << 20;
-                      std::memcpy(&Buf[CB.Starts[I] + CB.Ins[I].Len - 4],
-                                  &Wild, 4);
-                    },
-                    "branch redirected out of region");
+    for (std::size_t I = 0; I < P.Ins.size(); ++I)
+      if (P.Ins[I].Cls == x86::InstrClass::Jcc ||
+          P.Ins[I].Cls == x86::InstrClass::Jmp) {
+        std::size_t RelOff = P.Starts[I] + P.Ins[I].Len - 4;
+        runAdmitCase(T, P, "branch-target",
+                     [RelOff](AdmitProgram &M) {
+                       std::int32_t Wild = 1 << 20;
+                       std::memcpy(&M.Bytes[RelOff], &Wild, 4);
+                     },
+                     "branch redirected out of region");
+      }
 
     // Prologue vandalism: push rax instead of push rbp.
-    runByteCase(T, CB, "prologue",
-                [](std::vector<std::uint8_t> &Buf,
-                   verify::MachineAuditInputs &) { Buf[0] = 0x50; },
-                "push rbp replaced");
+    runAdmitCase(T, P, "prologue",
+                 [](AdmitProgram &M) { M.Bytes[0] = 0x50; },
+                 "push rbp replaced");
 
     // Truncation into the frame-reserve imm32 (instruction 2, 7 bytes).
-    runByteCase(T, CB, "boundary",
-                [&CB](std::vector<std::uint8_t> &Buf,
-                      verify::MachineAuditInputs &MA) {
-                  std::size_t Cut = CB.Starts[2] + 2;
-                  Buf.resize(Cut);
-                  MA.Size = Cut;
-                },
-                "region truncated mid-instruction");
+    std::size_t Cut = P.Starts[2] + 2;
+    runAdmitCase(T, P, "boundary",
+                 [Cut](AdmitProgram &M) { M.Bytes.resize(Cut); },
+                 "region truncated mid-instruction");
   }
 
   // Profiling-hook integrity (on the profiled body).
-  const CompiledBytes &PB = Bodies.back();
+  const AdmitProgram &PB = Bodies.back();
   ASSERT_TRUE(PB.Profiled);
-  runByteCase(T, PB, "profile",
-              [](std::vector<std::uint8_t> &,
-                 verify::MachineAuditInputs &MA) { MA.ExpectProfile = false; },
-              "hook present but profiling off");
-  runByteCase(T, PB, "profile",
-              [](std::vector<std::uint8_t> &, verify::MachineAuditInputs &MA) {
-                static std::uint64_t NotTheCounter;
-                MA.ProfileCounter = &NotTheCounter;
-              },
-              "hook targets an unregistered counter");
+  runAdmitCase(T, PB, "profile",
+               [](AdmitProgram &M) { M.Profiled = false; },
+               "hook present but profiling off");
+  runAdmitCase(T, PB, "profile",
+               [](AdmitProgram &M) {
+                 static std::uint64_t NotTheCounter;
+                 M.Counter = &NotTheCounter;
+               },
+               "hook targets an unregistered counter");
   bool FoundHook = false;
   for (std::size_t I = 0; I + 1 < PB.Ins.size(); ++I)
     if (PB.Ins[I].Cls == x86::InstrClass::MovImm64 && PB.Ins[I].Rm == 10 &&
         PB.Ins[I + 1].Cls == x86::InstrClass::LockInc) {
       FoundHook = true;
-      runByteCase(T, PB, "profile",
-                  [&PB, I](std::vector<std::uint8_t> &Buf,
-                           verify::MachineAuditInputs &) {
-                    Buf[PB.Starts[I] + 5] ^= 0x40; // Flip an imm64 byte.
-                  },
-                  "counter address corrupted");
+      std::size_t Off = PB.Starts[I] + 5;
+      runAdmitCase(T, PB, "profile",
+                   [Off](AdmitProgram &M) {
+                     M.Bytes[Off] ^= 0x40; // Flip an imm64 byte.
+                   },
+                   "counter address corrupted");
       break;
     }
   EXPECT_TRUE(FoundHook) << "no movabs-r10 + lock-inc pair in profiled code";
   // A non-profiled body cannot satisfy an expected hook.
-  runByteCase(T, Bodies.front(), "profile",
-              [](std::vector<std::uint8_t> &, verify::MachineAuditInputs &MA) {
-                static std::uint64_t Counter;
-                MA.ExpectProfile = true;
-                MA.ProfileCounter = &Counter;
-              },
-              "profiling expected but no hook planted");
+  runAdmitCase(T, Bodies.front(), "profile",
+               [](AdmitProgram &M) {
+                 static std::uint64_t Counter;
+                 M.Profiled = true;
+                 M.Counter = &Counter;
+               },
+               "profiling expected but no hook planted");
 
   EXPECT_GE(T.Cases, 50u);
   EXPECT_EQ(T.Rejected, T.Cases) << "some byte corruptions slipped through";
@@ -803,156 +864,85 @@ TEST(VerifyMutation, EmitterUsageCrossCheckCatchesForeignInstructions) {
   // Warm the usage table with a real ICODE compile so ordinary opcodes are
   // recorded, then hand-assemble a function containing an instruction no
   // ICODE opcode can justify (movsx r32, r16): the cross-check must flag it
-  // even though it decodes fine.
+  // even though it decodes and is admissible code.
   CompileOptions Opts;
   Opts.Backend = BackendKind::ICode;
   (void)compileLoopFn(Opts);
 
-  std::vector<std::uint8_t> Code = {
-      0x55,                                     // push rbp
-      0x48, 0x8B, 0xEC,                         // mov rbp, rsp
-      0x48, 0x81, 0xEC, 0x30, 0x00, 0x00, 0x00, // sub rsp, 48
-      0x0F, 0xBF, 0xC1,                         // movsx eax, cx  <-- foreign
-      0x48, 0x8B, 0xE5,                         // mov rsp, rbp
-      0x5D,                                     // pop rbp
-      0xC3,                                     // ret
-  };
-  verify::MachineAuditInputs MA;
-  MA.Code = Code.data();
-  MA.Size = Code.size();
-  MA.CrossCheckEmitterUsage = true;
-  verify::Result R = verify::auditMachineCode(MA);
+  AdmitProgram P = AdmitProgram::hand(handFrame({0x0F, 0xBF, 0xC1}));
+  verify::AdmissionInputs AI = P.inputs();
+  EXPECT_TRUE(verify::verifyAdmission(AI).ok());
+  AI.ICodeDiscipline = true;
+  verify::Result R = verify::verifyAdmission(AI);
   EXPECT_FALSE(R.ok());
   EXPECT_TRUE(R.has("emitter-usage")) << R.render();
 
   // The same frame without the foreign instruction is fine.
-  std::vector<std::uint8_t> Clean = Code;
-  Clean.erase(Clean.begin() + 11, Clean.begin() + 14);
-  MA.Code = Clean.data();
-  MA.Size = Clean.size();
-  R = verify::auditMachineCode(MA);
+  AdmitProgram Clean = AdmitProgram::hand(handFrame({}));
+  AI = Clean.inputs();
+  AI.ICodeDiscipline = true;
+  R = verify::verifyAdmission(AI);
   EXPECT_TRUE(R.ok()) << R.render();
 }
 
-// --- Admission (layer 5) ----------------------------------------------------
+TEST(VerifyMutation, SpillReloadBeforeStoreRejected) {
+  // mov rax, [rbp-48]: a qword reload from the first spill slot with no
+  // store to it on any path. Under the ICODE discipline it is a finding;
+  // without it (VCODE, or a snapshot load) the same frame is admitted.
+  AdmitProgram P = AdmitProgram::hand(handFrame({0x48, 0x8B, 0x45, 0xD0}));
+  verify::AdmissionInputs AI = P.inputs();
+  AI.ICodeDiscipline = true;
+  verify::Result R = verify::verifyAdmission(AI);
+  EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(R.has("spill-reload")) << R.render();
+  AI.ICodeDiscipline = false;
+  R = verify::verifyAdmission(AI);
+  EXPECT_TRUE(R.ok()) << R.render();
 
-namespace {
+  // Stored on one path only: the must-init bit is intersected at the join.
+  AdmitProgram OnePath = AdmitProgram::hand(
+      handFrame({0x33, 0xC0,                         // xor eax, eax
+                 0x85, 0xC0,                         // test eax, eax
+                 0x0F, 0x84, 0x04, 0x00, 0x00, 0x00, // jz +4
+                 0x48, 0x89, 0x45, 0xD0,             // mov [rbp-48], rax
+                 0x48, 0x8B, 0x45, 0xD0}));          // mov rax, [rbp-48]
+  AI = OnePath.inputs();
+  AI.ICodeDiscipline = true;
+  R = verify::verifyAdmission(AI);
+  EXPECT_TRUE(R.has("spill-reload")) << R.render();
 
-/// One unit for the admission mutation harness: finalized bytes plus the
-/// reloc side table and profile expectation — exactly what a snapshot
-/// record presents to verify::verifyAdmission after patching.
-struct AdmitProgram {
-  std::vector<std::uint8_t> Bytes;
-  std::vector<x86::Decoded> Ins;
-  std::vector<std::size_t> Starts;
-  std::vector<verify::AdmissionReloc> Relocs;
-  bool HaveRelocs = false;
-  const void *Counter = nullptr;
-  bool Profiled = false;
-
-  void decode() {
-    Ins.clear();
-    Starts.clear();
-    std::size_t Off = 0;
-    while (Off < Bytes.size()) {
-      x86::Decoded D;
-      const char *Err = nullptr;
-      if (!x86::decodeOne(Bytes.data(), Bytes.size(), Off, D, &Err))
-        break; // Hostile streams may stop decoding; the verifier says why.
-      Starts.push_back(Off);
-      Ins.push_back(D);
-      Off += D.Len;
-    }
-  }
-
-  static AdmitProgram of(const CompiledFn &F, const support::RelocTable *RT) {
-    AdmitProgram P;
-    P.Bytes.resize(F.stats().CodeBytes);
-    std::memcpy(P.Bytes.data(), F.entry(), P.Bytes.size());
-    P.Profiled = F.profile() != nullptr;
-    P.Counter = F.profile() ? &F.profile()->Invocations : nullptr;
-    if (RT && !RT->Unportable) {
-      P.HaveRelocs = true;
-      for (const support::RelocEntry &E : RT->Entries)
-        P.Relocs.push_back({E.Offset, static_cast<std::uint8_t>(E.Kind)});
-    }
-    P.decode();
-    return P;
-  }
-
-  static AdmitProgram hand(std::vector<std::uint8_t> B) {
-    AdmitProgram P;
-    P.Bytes = std::move(B);
-    P.decode();
-    return P;
-  }
-
-  verify::AdmissionInputs inputs() const {
-    verify::AdmissionInputs AI;
-    AI.Code = Bytes.data();
-    AI.Size = Bytes.size();
-    AI.ProfileCounter = Counter;
-    AI.ExpectProfile = Profiled;
-    AI.Relocs = Relocs.empty() ? nullptr : Relocs.data();
-    AI.NumRelocs = Relocs.size();
-    AI.HaveRelocs = HaveRelocs;
-    return AI;
-  }
-};
-
-/// Canonical frame around \p Body: push rbp / mov rbp, rsp / sub rsp, 48 /
-/// <body> / mov rsp, rbp / pop rbp / ret. Body instructions start at +11.
-std::vector<std::uint8_t> handFrame(const std::vector<std::uint8_t> &Body) {
-  std::vector<std::uint8_t> B = {0x55, 0x48, 0x8B, 0xEC, 0x48, 0x81,
-                                 0xEC, 0x30, 0x00, 0x00, 0x00};
-  B.insert(B.end(), Body.begin(), Body.end());
-  const std::uint8_t Epi[] = {0x48, 0x8B, 0xE5, 0x5D, 0xC3};
-  B.insert(B.end(), std::begin(Epi), std::end(Epi));
-  return B;
+  // Stored on every path: admitted.
+  AdmitProgram Stored = AdmitProgram::hand(
+      handFrame({0x48, 0x89, 0x45, 0xD0,   // mov [rbp-48], rax
+                 0x48, 0x8B, 0x45, 0xD0})); // mov rax, [rbp-48]
+  AI = Stored.inputs();
+  AI.ICodeDiscipline = true;
+  R = verify::verifyAdmission(AI);
+  EXPECT_TRUE(R.ok()) << R.render();
 }
 
-void appendU64(std::vector<std::uint8_t> &B, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<std::uint8_t>(V >> (8 * I)));
+TEST(VerifyMutation, StencilClassOutsideMaskRejected) {
+  const std::uint64_t Mask = pcode::StencilLibrary::get().ClassMask |
+                             pcode::StencilAssembler::glueClassMask();
+  ASSERT_FALSE(Mask & (std::uint64_t(1)
+                       << static_cast<unsigned>(x86::InstrClass::Lea)));
+  // lea rax, [rcx+8]: admissible code, but not PCODE vocabulary.
+  AdmitProgram P =
+      AdmitProgram::hand(handFrame({0x48, 0x8D, 0x41, 0x08}));
+  verify::AdmissionInputs AI = P.inputs();
+  AI.StencilClassMask = Mask;
+  verify::Result R = verify::verifyAdmission(AI);
+  EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(R.has("stencil-class")) << R.render();
+
+  AdmitProgram Clean = AdmitProgram::hand(handFrame({}));
+  AI = Clean.inputs();
+  AI.StencilClassMask = Mask;
+  R = verify::verifyAdmission(AI);
+  EXPECT_TRUE(R.ok()) << R.render();
 }
 
-/// movabs r10, &dummyCallee / call r10 — the backends' only call shape.
-/// The movabs imm64 payload sits at body offset +2 (frame offset +13).
-std::vector<std::uint8_t> callBody() {
-  std::vector<std::uint8_t> B = {0x49, 0xBA};
-  appendU64(B, reinterpret_cast<std::uint64_t>(
-                   reinterpret_cast<const void *>(&dummyCallee)));
-  B.insert(B.end(), {0x41, 0xFF, 0xD2});
-  return B;
-}
-
-void runAdmitCase(MutationTally &T, AdmitProgram P, const char *Category,
-                  const std::function<void(AdmitProgram &)> &Mutate,
-                  const std::string &What) {
-  Mutate(P);
-  verify::Result R = verify::verifyAdmission(P.inputs());
-  ++T.Cases;
-  EXPECT_FALSE(R.ok()) << What << ": hostile record was admitted";
-  EXPECT_TRUE(R.has(Category))
-      << What << ": expected category '" << Category << "', got:\n"
-      << R.render();
-  if (!R.ok() && R.has(Category))
-    ++T.Rejected;
-}
-
-void admitNoop(AdmitProgram &) {}
-
-/// f(x) = dummyCallee(x) + x — a body with a C call under every backend.
-CompiledFn compileCallFn(const CompileOptions &Opts) {
-  Context C;
-  VSpec X = C.paramInt(0);
-  Expr Call = C.callC(reinterpret_cast<const void *>(&dummyCallee),
-                      EvalType::Int, {Expr(X)});
-  Stmt Body = C.ret(Call + Expr(X));
-  return compileFn(C, Body, EvalType::Int, Opts);
-}
-
-} // namespace
+// --- Admission: hand-assembled and compiled hostile records -------------
 
 TEST(VerifyAdmission, AcceptsCleanHandFrames) {
   // The canonical empty frame.

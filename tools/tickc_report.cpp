@@ -59,7 +59,7 @@ int main(int argc, char **argv) {
   Configs[2].Opts.Backend = BackendKind::ICode;
   Configs[2].Opts.RegAlloc = icode::RegAllocKind::GraphColor;
   // Verified compiles populate the report's verify section (all four layers
-  // plus the verify-time share of compile cycles).
+  // plus the verify overhead on top of compile cycles).
   Configs[3].Name = "icode/verify";
   Configs[3].Opts.Backend = BackendKind::ICode;
   Configs[3].Opts.Verify = true;
