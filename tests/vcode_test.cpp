@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <vector>
 
 using namespace tcc;
@@ -56,6 +57,11 @@ struct BinCase {
   void (VCode::*Emit)(Reg, Reg, Reg);
   int (*Ref)(int, int);
 };
+
+/// Prints a case by its name; the default printer dumps the raw pointer
+/// bytes, which change from run to run and so would make the test's
+/// listed name unstable.
+void PrintTo(const BinCase &C, std::ostream *OS) { *OS << C.Name; }
 
 const BinCase BinCases[] = {
     {"add", &VCode::addI, [](int A, int B) { return A + B; }},
