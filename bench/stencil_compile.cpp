@@ -477,9 +477,10 @@ int main() {
         std::size_t At = A.appendStencil(E.S->Bytes, E.S->Len, E.S->Instrs);
         if (E.HasPatch)
           pcode::applyStencilHoles(Scratch.get() + At, *E.S, E.V);
-        else if (E.IsBranch)
+        if (E.IsBranch)
           // Model the label machinery's deferred rel32 fixup, which the
-          // encoder replay pays as a patch32 after each jcc/jmp.
+          // encoder replay pays as a patch32 after each jcc/jmp (a fused
+          // return stencil has both a hole and a branch).
           A.patch32(At + E.S->Len - 4, 0);
       }
       Per.push_back(readCycleCounterEnd() - T0);

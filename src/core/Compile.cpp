@@ -377,132 +377,22 @@ template <> struct BackendTraits<icode::ICode> {
   static int allocMemF(icode::ICode &IC) { return IC.newFloatReg(); }
 };
 
-// --- Tree predicates -------------------------------------------------------------
-
-bool exprHasCall(const ExprNode *N) {
-  if (!N)
-    return false;
-  if (N->Kind == ExprKind::Call)
-    return true;
-  if (exprHasCall(N->A) || exprHasCall(N->B) || exprHasCall(N->C))
-    return true;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (exprHasCall(N->ArgV[I]))
-      return true;
-  return false;
-}
-
-bool stmtHasCall(const StmtNode *S) {
-  if (!S)
-    return false;
-  if (exprHasCall(S->E) || exprHasCall(S->E2) || exprHasCall(S->E3))
-    return true;
-  if (stmtHasCall(S->S1) || stmtHasCall(S->S2))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (stmtHasCall(S->BodyV[I]))
-      return true;
-  return false;
-}
-
-/// True if \p S assigns to local \p Id or uses it as a loop induction var.
-bool assignsLocal(const StmtNode *S, std::int32_t Id) {
-  if (!S)
-    return false;
-  if ((S->Kind == StmtKind::AssignLocal || S->Kind == StmtKind::For) &&
-      S->LocalId == Id)
-    return true;
-  if (assignsLocal(S->S1, Id) || assignsLocal(S->S2, Id))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (assignsLocal(S->BodyV[I], Id))
-      return true;
-  return false;
-}
-
-/// True if \p S contains control flow that could escape an unrolled copy of
-/// a loop body (break/continue/goto/label).
-bool hasEscapingControl(const StmtNode *S) {
-  if (!S)
-    return false;
-  switch (S->Kind) {
-  case StmtKind::Break:
-  case StmtKind::Continue:
-  case StmtKind::Goto:
-  case StmtKind::LabelDef:
-    return true;
-  case StmtKind::While:
-  case StmtKind::For:
-    // Break/continue inside a nested loop bind to that loop; only its own
-    // body's gotos/labels escape. Conservatively recurse anyway.
-    break;
-  default:
-    break;
-  }
-  if (hasEscapingControl(S->S1) || hasEscapingControl(S->S2))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (hasEscapingControl(S->BodyV[I]))
-      return true;
-  return false;
-}
-
 // --- Tier-0 profile plumbing -------------------------------------------------
 
-/// True if the subtree contains an rtEval that references a vspec — a
-/// `$`-expression that only folds while the enclosing loops unroll. A
-/// profile decision to roll such a loop would leave the rtEval unevaluable
-/// at instantiation time (a fatal error), so genFor must never honor it.
-bool exprHasRtEvalLocal(const ExprNode *N) {
-  if (!N)
-    return false;
-  if (N->Kind == ExprKind::RtEval && (N->Flags & EF_HasLocal))
-    return true;
-  if (exprHasRtEvalLocal(N->A) || exprHasRtEvalLocal(N->B) ||
-      exprHasRtEvalLocal(N->C))
-    return true;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (exprHasRtEvalLocal(N->ArgV[I]))
-      return true;
-  return false;
-}
-
-bool stmtHasRtEvalLocal(const StmtNode *S) {
-  if (!S)
-    return false;
-  if (exprHasRtEvalLocal(S->E) || exprHasRtEvalLocal(S->E2) ||
-      exprHasRtEvalLocal(S->E3))
-    return true;
-  if (stmtHasRtEvalLocal(S->S1) || stmtHasRtEvalLocal(S->S2))
-    return true;
+/// Appends the For statements of \p S to \p Visits in pre-order, every
+/// visit counted (a shared For subtree appears once per visit), stopping at
+/// \p Max entries. A For's trip-profile ordinal is the index of its first
+/// entry — the numbering SpecInterp's indexing walk assigns.
+void collectForVisits(const StmtNode *S, ArenaVector<const StmtNode *> &Visits,
+                      std::size_t Max) {
+  if (!S || Visits.size() >= Max)
+    return;
+  if (S->Kind == StmtKind::For)
+    Visits.push_back(S);
+  collectForVisits(S->S1, Visits, Max);
+  collectForVisits(S->S2, Visits, Max);
   for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (stmtHasRtEvalLocal(S->BodyV[I]))
-      return true;
-  return false;
-}
-
-/// Ordinal of \p Target in the pre-order every-visit For numbering rooted
-/// at the spec body — the allocation-free mirror of SpecInterp's indexing
-/// (a shared For subtree is numbered at its first visit; later visits only
-/// advance the counter). Returns false when \p Target is unreachable.
-bool forOrdinalRec(const StmtNode *S, const StmtNode *Target,
-                   unsigned &Counter, unsigned &Out) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::For) {
-    if (S == Target) {
-      Out = Counter;
-      return true;
-    }
-    ++Counter;
-  }
-  if (forOrdinalRec(S->S1, Target, Counter, Out) ||
-      forOrdinalRec(S->S2, Target, Counter, Out))
-    return true;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (forOrdinalRec(S->BodyV[I], Target, Counter, Out))
-      return true;
-  return false;
+    collectForVisits(S->BodyV[I], Visits, Max);
 }
 
 // --- The walker ---------------------------------------------------------------------
@@ -524,7 +414,7 @@ public:
       : Ctx(Ctx), Back(Back), RetType(RetType), Opts(Opts),
         Rc(static_cast<unsigned>(Ctx.locals().size()), Scratch),
         LocalLoc(Scratch), UserLabels(Scratch), LoopStack(Scratch),
-        ScratchArena(Scratch) {
+        ScratchArena(Scratch), ForVisits(Scratch) {
     LocalLoc.resize(Ctx.locals().size(), INT_MIN);
     UserLabels.resize(Ctx.numDynLabels(), std::nullopt);
   }
@@ -545,15 +435,19 @@ public:
   const void *ProfileCounter = nullptr;
 
   void run(const StmtNode *Body) {
-    Root = Body;
-    BodyHasCalls = stmtHasCall(Body);
+    BodyHasCalls = Body && (Body->Flags & SF_HasCall);
+    if (Opts.TripProfile)
+      collectForVisits(Body, ForVisits, Opts.TripProfile->NumLoops);
     if constexpr (TR::OnePass)
       Back.enter();
     if (ProfileCounter)
       Back.profileEntry(ProfileCounter);
     bindParams();
     genStmt(Body);
-    // Fall-off-the-end return.
+    // Fall-off-the-end return, when control can get there.
+    if constexpr (TR::OnePass)
+      if (!Back.reachable())
+        return;
     if (RetType == EvalType::Void) {
       Back.retVoid();
     } else if (RetType == EvalType::Double) {
@@ -1293,6 +1187,13 @@ private:
         Back.retVoid();
         return;
       }
+      if constexpr (TR::OnePass) {
+        if (RetType == EvalType::Int)
+          if (auto C = Rc.eval(S->E, false); C && !C->isFp()) {
+            Back.retII(static_cast<std::int32_t>(C->I));
+            return;
+          }
+      }
       Val V = genExpr(S->E);
       switch (RetType) {
       case EvalType::Double:
@@ -1389,11 +1290,12 @@ private:
     std::uint64_t EffLimit = Opts.UnrollLimit;
     bool SkipUnroll = false;
     if (Opts.TripProfile) {
-      unsigned Ord = 0, Counter = 0;
-      if (forOrdinalRec(Root, S, Counter, Ord) &&
-          Ord < Opts.TripProfile->NumLoops) {
+      const StmtNode *const *First =
+          std::find(ForVisits.begin(), ForVisits.end(), S);
+      if (First != ForVisits.end()) {
+        std::size_t Ord = static_cast<std::size_t>(First - ForVisits.begin());
         std::uint8_t D = Opts.TripProfile->Decision[Ord];
-        if (D == 1 && !stmtHasRtEvalLocal(S->S1)) {
+        if (D == 1 && !(S->S1->Flags & SF_HasRtEvalLocal)) {
           SkipUnroll = true;
           ++PE.ProfiledUnrolls;
         } else if (D == 2) {
@@ -1412,8 +1314,7 @@ private:
     auto BV = Rc.eval(S->E2, false);
     auto SV = Rc.eval(S->E3, false);
     if (!SkipUnroll && IV && BV && SV && !IV->isFp() && !BV->isFp() &&
-        !SV->isFp() && !assignsLocal(S->S1, S->LocalId) &&
-        !hasEscapingControl(S->S1)) {
+        !SV->isFp() && !(S->Flags & (SF_BodyAssignsVar | SF_HasEscape))) {
       if (auto Values = unrollValues(IV->I, K, BV->I, SV->I, EffLimit)) {
         ++PE.LoopsUnrolled;
         EvalType VarT =
@@ -1500,7 +1401,9 @@ private:
   ArenaVector<std::optional<LabelT>> UserLabels;
   ArenaVector<LoopLabels> LoopStack;
   Arena &ScratchArena;
-  const StmtNode *Root = nullptr;
+  /// Pre-order For visits, up to the trip profile's loop count (empty
+  /// without a profile): a loop's ordinal is the index of its first visit.
+  ArenaVector<const StmtNode *> ForVisits;
   bool BodyHasCalls = false;
   int FpCallSlots[vcode::VCode::NumFloatPool] = {
       INT_MIN, INT_MIN, INT_MIN, INT_MIN, INT_MIN, INT_MIN,

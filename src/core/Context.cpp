@@ -62,6 +62,8 @@ Expr Context::rtEval(Expr E) {
   ExprNode *N = newExpr(ExprKind::RtEval, E.type());
   N->A = E.node();
   N->Flags = E.node()->Flags & static_cast<std::uint8_t>(~EF_HasMemOp);
+  if (N->Flags & EF_HasLocal)
+    N->Flags |= EF_HasRtEvalLocal;
   return Expr(N);
 }
 
@@ -332,6 +334,35 @@ Expr Context::callIndirect(Expr Fn, EvalType RetType,
 
 // --- Statements ---------------------------------------------------------------------------
 
+/// Statement flags an expression child contributes.
+static std::uint8_t flagsOf(const ExprNode *E) {
+  if (!E)
+    return 0;
+  return static_cast<std::uint8_t>(
+      ((E->Flags & EF_HasCall) ? SF_HasCall : 0) |
+      ((E->Flags & EF_HasRtEvalLocal) ? SF_HasRtEvalLocal : 0));
+}
+
+/// Statement flags a statement child passes up to its parent.
+static std::uint8_t flagsOf(const StmtNode *S) {
+  return S ? S->Flags & (SF_HasCall | SF_HasEscape | SF_HasRtEvalLocal) : 0;
+}
+
+/// True if \p S assigns to local \p Id or uses it as a loop induction var.
+static bool assignsLocal(const StmtNode *S, std::int32_t Id) {
+  if (!S)
+    return false;
+  if ((S->Kind == StmtKind::AssignLocal || S->Kind == StmtKind::For) &&
+      S->LocalId == Id)
+    return true;
+  if (assignsLocal(S->S1, Id) || assignsLocal(S->S2, Id))
+    return true;
+  for (std::uint32_t I = 0; I < S->BodyC; ++I)
+    if (assignsLocal(S->BodyV[I], Id))
+      return true;
+  return false;
+}
+
 Stmt Context::block(const std::vector<Stmt> &Body) {
   StmtNode *N = newStmt(StmtKind::Block);
   N->BodyC = static_cast<std::uint32_t>(Body.size());
@@ -339,6 +370,7 @@ Stmt Context::block(const std::vector<Stmt> &Body) {
   for (std::size_t I = 0; I < Body.size(); ++I) {
     assert(Body[I].valid() && "empty statement in block");
     N->BodyV[I] = Body[I].node();
+    N->Flags |= flagsOf(N->BodyV[I]);
   }
   return Stmt(N);
 }
@@ -346,6 +378,7 @@ Stmt Context::block(const std::vector<Stmt> &Body) {
 Stmt Context::exprStmt(Expr E) {
   StmtNode *N = newStmt(StmtKind::ExprStmt);
   N->E = E.node();
+  N->Flags = flagsOf(N->E);
   return Stmt(N);
 }
 
@@ -374,6 +407,7 @@ Stmt Context::assign(VSpec V, Expr E) {
   StmtNode *N = newStmt(StmtKind::AssignLocal);
   N->LocalId = V.id();
   N->E = E.node();
+  N->Flags = flagsOf(N->E);
   return Stmt(N);
 }
 
@@ -392,6 +426,7 @@ Stmt Context::storeMem(MemType M, Expr Addr, Expr Value) {
   N->OpByte = static_cast<std::uint8_t>(M);
   N->E = Addr.node();
   N->E2 = Value.node();
+  N->Flags = flagsOf(N->E) | flagsOf(N->E2);
   return Stmt(N);
 }
 
@@ -401,6 +436,7 @@ Stmt Context::ifStmt(Expr Cond, Stmt Then, Stmt Else) {
   N->E = Cond.node();
   N->S1 = Then.node();
   N->S2 = Else.valid() ? Else.node() : nullptr;
+  N->Flags = flagsOf(N->E) | flagsOf(N->S1) | flagsOf(N->S2);
   return Stmt(N);
 }
 
@@ -409,6 +445,7 @@ Stmt Context::whileStmt(Expr Cond, Stmt Body) {
   StmtNode *N = newStmt(StmtKind::While);
   N->E = Cond.node();
   N->S1 = Body.node();
+  N->Flags = flagsOf(N->E) | flagsOf(N->S1);
   return Stmt(N);
 }
 
@@ -423,20 +460,34 @@ Stmt Context::forStmt(VSpec V, Expr Init, CmpKind K, Expr Bound, Expr Step,
   N->E2 = Bound.node();
   N->E3 = Step.node();
   N->S1 = Body.node();
+  // SF_HasEscape here is the body's alone: a For adds no escaping control.
+  N->Flags = flagsOf(N->E) | flagsOf(N->E2) | flagsOf(N->E3) |
+             flagsOf(N->S1);
+  if (assignsLocal(N->S1, N->LocalId))
+    N->Flags |= SF_BodyAssignsVar;
   return Stmt(N);
 }
 
 Stmt Context::ret(Expr E) {
   StmtNode *N = newStmt(StmtKind::Return);
   N->E = E.node();
+  N->Flags = flagsOf(N->E);
   return Stmt(N);
 }
 
 Stmt Context::retVoid() { return Stmt(newStmt(StmtKind::Return)); }
 
-Stmt Context::breakStmt() { return Stmt(newStmt(StmtKind::Break)); }
+Stmt Context::breakStmt() {
+  StmtNode *N = newStmt(StmtKind::Break);
+  N->Flags = SF_HasEscape;
+  return Stmt(N);
+}
 
-Stmt Context::continueStmt() { return Stmt(newStmt(StmtKind::Continue)); }
+Stmt Context::continueStmt() {
+  StmtNode *N = newStmt(StmtKind::Continue);
+  N->Flags = SF_HasEscape;
+  return Stmt(N);
+}
 
 DynLabel Context::newLabel() {
   return DynLabel{static_cast<std::int32_t>(NumDynLabels++)};
@@ -446,6 +497,7 @@ Stmt Context::labelHere(DynLabel L) {
   assert(L.Id >= 0 && "invalid label");
   StmtNode *N = newStmt(StmtKind::LabelDef);
   N->LocalId = L.Id;
+  N->Flags = SF_HasEscape;
   return Stmt(N);
 }
 
@@ -453,6 +505,7 @@ Stmt Context::gotoLabel(DynLabel L) {
   assert(L.Id >= 0 && "invalid label");
   StmtNode *N = newStmt(StmtKind::Goto);
   N->LocalId = L.Id;
+  N->Flags = SF_HasEscape;
   return Stmt(N);
 }
 

@@ -82,6 +82,8 @@ enum ExprFlags : std::uint8_t {
   EF_HasLocal = 1, ///< References a vspec (foldable only when unrolled).
   EF_HasMemOp = 2, ///< Contains a load/free variable (needs explicit $).
   EF_HasCall = 4,  ///< Contains a call (never foldable).
+  EF_HasRtEvalLocal = 8, ///< Contains a `$`-expression that references a
+                         ///< vspec: it folds only while loops unroll.
 };
 
 /// One expression node. 64 bytes; allocated from the Context's arena (the
@@ -121,10 +123,23 @@ enum class StmtKind : std::uint8_t {
   Goto,     ///< LocalId = user label id.
 };
 
+/// Static facts about a statement subtree, set by each Context statement
+/// factory from its children (like ExprFlags), so that no compile has to
+/// walk the tree to learn them.
+enum StmtFlags : std::uint8_t {
+  SF_HasCall = 1,        ///< Some expression contains a call.
+  SF_HasEscape = 2,      ///< Contains break/continue/goto/label: control
+                         ///< that could escape an unrolled loop-body copy.
+  SF_HasRtEvalLocal = 4, ///< Some expression has EF_HasRtEvalLocal.
+  SF_BodyAssignsVar = 8, ///< For only, not inherited: the body assigns the
+                         ///< induction variable or reuses it as one.
+};
+
 /// One statement node.
 struct StmtNode {
   StmtKind Kind;
   std::uint8_t OpByte = 0;
+  std::uint8_t Flags = 0; ///< StmtFlags of the whole subtree.
   std::int32_t LocalId = -1;
   ExprNode *E = nullptr;
   ExprNode *E2 = nullptr;

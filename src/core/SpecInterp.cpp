@@ -248,7 +248,7 @@ void SpecInterp::indexStmt(const StmtNode *S,
     return;
   // Pre-order, counting every visit (shared subtrees revisit) but mapping
   // each node to its first-visit ordinal — the numbering the compiler's
-  // Walker re-derives allocation-free (forOrdinal in Compile.cpp). The two
+  // Walker re-derives (collectForVisits in Compile.cpp). The two
   // walks must stay byte-for-byte in step.
   bool PushedFor = false;
   if (S->Kind == StmtKind::For) {

@@ -8,13 +8,6 @@
 #include "pcode/PCode.h"
 
 namespace tcc {
-namespace pcode {
-
-thread_local std::vector<StencilAssembler::TraceEnt> *StencilAssembler::Trace =
-    nullptr;
-
-} // namespace pcode
-
 namespace vcode {
 
 template class VCodeT<pcode::StencilAssembler>;

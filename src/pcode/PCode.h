@@ -21,6 +21,12 @@
 /// from — so PCODE output is byte-identical to VCODE on every program,
 /// fast or slow path.
 ///
+/// Frame: the prologue is one stencil copy, each return one fused
+/// move-and-jump copy (RetJmp*), and finish() copies the shared epilogue
+/// Epi[mask] for the callee-saved registers the function used. When
+/// finish() drops a final return's jump, unemitJmp() keeps the stencil
+/// trace and stencilInstrs() in step with the bytes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_PCODE_PCODE_H
@@ -102,20 +108,18 @@ public:
     for (int I = 0; I < 5; ++I)
       SaveSitePc[I] = At + Lib.Enter.SaveOff[I];
   }
-  void opEpilogue(ArenaVector<std::size_t> &RestoreSitePcs) {
-    std::size_t At = put(Lib.Epilogue.S);
-    for (int I = 0; I < 5; ++I)
-      RestoreSitePcs.push_back(At + Lib.Epilogue.RestoreOff[I]);
-  }
+  /// The shared epilogue for the callee-saved pool registers in \p Saved.
+  void opEpilogue(std::uint32_t Saved) { put(Lib.Epi[Saved]); }
   void opBindArgI(unsigned Index, int Dst) { put(Lib.BindArgI[Index][Dst]); }
   void opBindArgD(unsigned Index, int Dst) {
     movsdRR(fp(Dst), x86::FloatArgRegs[Index]);
   }
-  void opRetMovI(int R) { put(Lib.RetMovI[R]); }
-  void opRetMovL(int R) { put(Lib.RetMovL[R]); }
-  void opRetMovD(int R) {
-    if (fp(R) != x86::XMM0)
-      movsdRR(x86::XMM0, fp(R));
+  /// Fused returns: the result move and the jump to the epilogue in one
+  /// copy; each returns the jump's rel32 offset, like jmp().
+  std::size_t opRetJmpI(int R) { return putBranch(Lib.RetJmpI[R]); }
+  std::size_t opRetJmpL(int R) { return putBranch(Lib.RetJmpL[R]); }
+  std::size_t opRetJmpII(std::int32_t Imm) {
+    return putPatchBranch(Lib.RetJmpII, Imm);
   }
   void opResultToI(int D) { put(Lib.ResultToI[D]); }
   void opResultToD(int D) {
@@ -245,6 +249,13 @@ public:
     putPatch(Lib.CmpRI32[A][StencilLibrary::immClass(Imm)], Imm);
   }
   void opTestRR32(int A) { put(Lib.TestRR32[A]); }
+  /// Fused `cmp r32, imm; jcc rel32`; returns the rel32 offset like jcc().
+  std::size_t opCmpRI32Jcc(int A, std::int32_t Imm, x86::Cond C) {
+    const Stencil &S = Lib.CmpJccRI32[A][StencilLibrary::immClass(Imm)]
+                                     [static_cast<int>(C)];
+    assert(S.Len != 0 && "condition nibble without a rendered stencil");
+    return putPatchBranch(S, Imm);
+  }
   void opSetZx(x86::Cond C, int D) {
     const Stencil &S = Lib.SetZx[static_cast<int>(C)][D];
     assert(S.Len != 0 && "condition nibble without a rendered stencil");
@@ -293,8 +304,20 @@ public:
     return putBranch(S);
   }
   std::size_t jmp() { return putBranch(Lib.JmpRel); }
-  void jmpTo(std::size_t Target) { patchBranch(jmp(), Target); }
-  void jccTo(x86::Cond C, std::size_t Target) { patchBranch(jcc(C), Target); }
+  /// Drops the trailing jump; a fused return stencil shrinks to its move.
+  void unemitJmp() {
+    x86::Assembler::unemitJmp();
+    --StencilInstrs;
+    if (__builtin_expect(Trace != nullptr, 0)) {
+      TraceEnt &E = Trace->back();
+      if (const Stencil *Body = Lib.withoutJmp(E.S)) {
+        E.S = Body;
+        E.IsBranch = false;
+      } else {
+        Trace->pop_back();
+      }
+    }
+  }
 
   void movRR32(x86::GPR D, x86::GPR S) { put(Lib.RawMovRR[0][D][S]); }
   void movRR64(x86::GPR D, x86::GPR S) { put(Lib.RawMovRR[1][D][S]); }
@@ -399,6 +422,14 @@ private:
       Trace->push_back({&S, 0, false, /*IsBranch=*/true});
     return emit(S) + S.Len - 4;
   }
+  /// A stencil with both an immediate hole and a trailing rel32 branch.
+  std::size_t putPatchBranch(const Stencil &S, std::int64_t V) {
+    if (__builtin_expect(Trace != nullptr, 0))
+      Trace->push_back({&S, V, true, /*IsBranch=*/true});
+    std::size_t At = emit(S);
+    Patches += applyStencilHoles(bufferBase() + At, S, V);
+    return At + S.Len - 4;
+  }
   void rawMem(const Stencil (&T)[3], std::int32_t Off) {
     int C = StencilLibrary::dispClass(Off);
     if (C == 0)
@@ -452,7 +483,7 @@ private:
   const StencilLibrary &Lib;
   unsigned Patches = 0;
   unsigned StencilInstrs = 0;
-  static thread_local std::vector<TraceEnt> *Trace;
+  static inline thread_local std::vector<TraceEnt> *Trace = nullptr;
 };
 
 } // namespace pcode

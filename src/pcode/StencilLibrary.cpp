@@ -258,20 +258,11 @@ void Builder::buildFrame() {
     for (int I = 0; I < vcode::VCode::NumIntPool; ++I)
       L.Enter.SaveOff[I] = static_cast<std::uint8_t>(V.saveSitePcs()[I]);
   }
-  {
-    std::uint8_t Buf[BufCap];
-    vcode::VCode V(Buf, BufCap, &Scratch);
-    V.retVoid();
-    store(L.Epilogue.S, Buf, V.codeBytes(), V.instructionsEmitted(),
-          "epilogue");
-    decodeValidate(L.Epilogue.S, "epilogue");
-    if (V.restoreSitePcs().size() !=
-        static_cast<std::size_t>(vcode::VCode::NumIntPool))
-      buildFatal("epilogue", "unexpected restore-site count");
-    for (int I = 0; I < vcode::VCode::NumIntPool; ++I)
-      L.Epilogue.RestoreOff[I] = static_cast<std::uint8_t>(
-          V.restoreSitePcs()[static_cast<std::size_t>(I)]);
-  }
+  for (std::uint32_t Mask = 0; Mask < 32; ++Mask)
+    renderRaw(
+        L.Epi[Mask],
+        [&](x86::Assembler &A) { vcode::VCode::emitEpilogue(A, Mask); },
+        "epilogue");
   for (unsigned Index = 0; Index < 6; ++Index)
     for (int D = 0; D < StencilLibrary::NI; ++D)
       renderV(
@@ -286,9 +277,30 @@ void Builder::buildFrame() {
         L.RetMovL[R], [&](x86::Assembler &A) { A.movRR64(x86::RAX, P); },
         "retMovL");
     renderRaw(
+        L.RetJmpI[R],
+        [&](x86::Assembler &A) {
+          A.movRR32(x86::RAX, P);
+          A.jmp();
+        },
+        "retJmpI");
+    renderRaw(
+        L.RetJmpL[R],
+        [&](x86::Assembler &A) {
+          A.movRR64(x86::RAX, P);
+          A.jmp();
+        },
+        "retJmpL");
+    renderRaw(
         L.ResultToI[R], [&](x86::Assembler &A) { A.movRR64(P, x86::RAX); },
         "resultToI");
   }
+  renderRawImm(
+      L.RetJmpII, SImm32A, SImm32B,
+      [&](x86::Assembler &A, std::int64_t Imm) {
+        A.movRI32(x86::RAX, static_cast<std::uint32_t>(Imm));
+        A.jmp();
+      },
+      "retJmpII");
 }
 
 void Builder::buildMovesAndConstants() {
@@ -471,6 +483,18 @@ void Builder::buildCompares() {
   for (int C = 0; C < 16; ++C) {
     if (!((C >= 0x2 && C <= 0x7) || (C >= 0xC && C <= 0xF)))
       continue;
+    const auto Cc = static_cast<x86::Cond>(C);
+    for (int A = 0; A < SL::NI; ++A) {
+      x86::GPR Pa = vcode::detail::IntPoolPhys[A];
+      auto CmpJcc = [&](x86::Assembler &As, std::int64_t Imm) {
+        As.cmpRI32(Pa, static_cast<std::int32_t>(Imm));
+        (void)As.jcc(Cc);
+      };
+      renderRawImm(L.CmpJccRI32[A][0][C], SImm8A, SImm8B, CmpJcc,
+                   "cmpRI32+jcc imm8");
+      renderRawImm(L.CmpJccRI32[A][1][C], SImm32A, SImm32B, CmpJcc,
+                   "cmpRI32+jcc imm32");
+    }
     for (int D = 0; D < SL::NI; ++D) {
       x86::GPR Pd = vcode::detail::IntPoolPhys[D];
       renderRaw(

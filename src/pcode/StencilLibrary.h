@@ -24,6 +24,11 @@
 /// must accept the bytes. The decoder classes observed across the library
 /// are accumulated into classMask() for the machine-code verifier.
 ///
+/// Frame stencils: Enter (the prologue), Epi[mask] (the shared epilogue,
+/// one per set of callee-saved pool registers to reload) and the fused
+/// returns RetJmpI/RetJmpL/RetJmpII (result move + jmp to the epilogue in
+/// one copy).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_PCODE_STENCILLIBRARY_H
@@ -71,11 +76,6 @@ struct EnterStencil {
   Stencil S;
   std::uint8_t FrameOff = 0;   ///< Offset of the frame-size imm32.
   std::uint8_t SaveOff[5] = {}; ///< Callee-save store sites (4 bytes each).
-};
-
-struct EpilogueStencil {
-  Stencil S;
-  std::uint8_t RestoreOff[5] = {}; ///< Callee-save reload sites.
 };
 
 /// Writes the operation's run-time value \p V into the freshly copied
@@ -154,10 +154,19 @@ struct StencilLibrary {
   }
 
   EnterStencil Enter;
-  EpilogueStencil Epilogue;
+  /// The shared epilogue, one per set of callee-saved pool registers to
+  /// reload ([mask], a bit per pool index): reloads, mov rsp, rbp; pop rbp;
+  /// ret.
+  Stencil Epi[32];
 
   Stencil BindArgI[6][NI];
-  Stencil RetMovI[NI], RetMovL[NI], ResultToI[NI];
+  /// Fused returns: mov eax, r32 | mov rax, r64 | mov eax, imm32 (one
+  /// imm32 hole), then jmp rel32(0) to the epilogue.
+  Stencil RetJmpI[NI], RetJmpL[NI], RetJmpII;
+  /// The fused returns' moves alone: what a return leaves when finish()
+  /// drops its jump to the next byte (RetJmpII leaves RawMovRI32[RAX]).
+  Stencil RetMovI[NI], RetMovL[NI];
+  Stencil ResultToI[NI];
 
   Stencil SetI[NI][2];     ///< [d][imm == 0 ? 0 : 1]
   Stencil SetL[NI][3];     ///< [d][0 zero, 1 sext-imm32, 2 movabs]
@@ -175,6 +184,9 @@ struct StencilLibrary {
   Stencil CmpRR32[NI][NI], CmpRR64[NI][NI];
   Stencil CmpRI32[NI][2]; ///< [imm class]
   Stencil TestRR32[NI];
+  /// Fused `cmp r32, imm; jcc rel32(0)`: [a][imm class][condition nibble],
+  /// one imm hole; unrendered nibbles stay Len == 0.
+  Stencil CmpJccRI32[NI][2][16];
   Stencil SetZx[16][NI]; ///< [condition nibble][d]
 
   Stencil Ld[NumLd][NI][NI][3]; ///< [d][base][disp class]
@@ -208,6 +220,18 @@ struct StencilLibrary {
   Stencil RawUcomisd[16][16];
   Stencil RawXorpd[16][16];
   Stencil RawMovqXR[16][16];          ///< [xmm dst][gpr src]
+
+  /// \p S without its trailing jmp — the stencil trace's record of a
+  /// fused return whose jump finish() dropped — or null for JmpRel.
+  const Stencil *withoutJmp(const Stencil *S) const {
+    for (int R = 0; R < NI; ++R) {
+      if (S == &RetJmpI[R])
+        return &RetMovI[R];
+      if (S == &RetJmpL[R])
+        return &RetMovL[R];
+    }
+    return S == &RetJmpII ? &RawMovRI32[x86::RAX] : nullptr;
+  }
 
   /// InstrClass bits (1 << class) observed while decode-validating the
   /// library; the machine-code verifier checks PCODE output against this

@@ -22,6 +22,7 @@
 #ifndef TICKC_SUPPORT_ARENA_H
 #define TICKC_SUPPORT_ARENA_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -43,8 +44,22 @@ public:
   Arena &operator=(const Arena &) = delete;
 
   /// Allocates \p Bytes with the given \p Align. Never returns null; aborts
-  /// on out-of-memory.
-  void *allocate(std::size_t Bytes, std::size_t Align = alignof(max_align_t));
+  /// on out-of-memory. The common case is inline: align, bounds check, bump.
+  void *allocate(std::size_t Bytes, std::size_t Align = alignof(max_align_t)) {
+    assert(Align != 0 && (Align & (Align - 1)) == 0 &&
+           "align must be power of 2");
+    std::uintptr_t Aligned = (reinterpret_cast<std::uintptr_t>(Cur) + Align -
+                              1) & ~(std::uintptr_t(Align) - 1);
+    if (__builtin_expect(
+            Aligned + Bytes > reinterpret_cast<std::uintptr_t>(End), 0))
+      return allocateInNewSlab(Bytes, Align);
+    char *Result = reinterpret_cast<char *>(Aligned);
+    Cur = Result + Bytes;
+    BytesAllocated += Bytes;
+    if (BytesAllocated > HighWater)
+      HighWater = BytesAllocated;
+    return Result;
+  }
 
   /// Constructs a T in the arena.
   template <typename T, typename... ArgTs> T *create(ArgTs &&...Args) {
@@ -96,6 +111,8 @@ private:
   };
 
   void addSlab(std::size_t MinBytes);
+  /// Slow path of allocate(): the current slab cannot fit the request.
+  void *allocateInNewSlab(std::size_t Bytes, std::size_t Align);
 
   Slab *Head = nullptr;
   char *Cur = nullptr;

@@ -24,6 +24,15 @@
 /// tables are rendered *from* these paths at startup, so the two emit
 /// byte-identical code by construction.
 ///
+/// Frame: enter() stores all five callee-saved pool registers below rbp
+/// with fixed 4-byte stores. Every ret* moves its result into place and
+/// jumps to one epilogue per function; finish() binds it there, reloads
+/// only the pool registers the code used (UsedPoolMask), unwinds and
+/// returns, nop-fills the prologue stores of the unused ones, and drops a
+/// final return's jump to the next byte. The machine tracks reachability:
+/// after a jump or a return, jump() and ret* emit nothing until the next
+/// label is bound.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TICKC_VCODE_VCODET_H
@@ -197,7 +206,7 @@ public:
         Scratch(ScratchArena ? ScratchArena : OwnedScratch.get()),
         FreeIntMask((1u << NumIntPool) - 1),
         FreeFloatMask((1u << NumFloatPool) - 1), FreeSpillSlots(*Scratch),
-        Labels(*Scratch), RestoreSitePcs(*Scratch) {}
+        Labels(*Scratch) {}
 
   // --- Register management (paper §5.1) -----------------------------------
   /// Allocates an integer register; returns a spill designator under
@@ -344,74 +353,116 @@ public:
     writeBackD(Dst, Pd);
   }
 
-  /// Emits epilogue + return with no value.
-  void retVoid() { epilogue(); }
+  /// Returns with no value. Every return jumps to the function's one
+  /// shared epilogue, which finish() emits; from unreachable code (after a
+  /// jump or another return, before the next label) nothing is emitted.
+  void retVoid() {
+    if (!Reachable)
+      return;
+    retJump(Asm.jmp());
+  }
 
   void retI(Reg R) {
+    if (!Reachable)
+      return;
     if constexpr (UsesOpStencils) {
       if (R >= 0) {
         noteUsed(R);
-        Asm.opRetMovI(R);
-        epilogue();
+        retJump(Asm.opRetJmpI(R));
         return;
       }
     }
     x86::GPR P = srcI(R, detail::ScratchA);
     Asm.movRR32(x86::RAX, P);
-    epilogue();
+    retJump(Asm.jmp());
+  }
+
+  /// Returns the int constant \p Imm (a run-time constant the walker
+  /// folded): it goes straight into eax.
+  void retII(std::int32_t Imm) {
+    if (!Reachable)
+      return;
+    if constexpr (UsesOpStencils) {
+      retJump(Asm.opRetJmpII(Imm));
+      return;
+    }
+    Asm.movRI32(x86::RAX, static_cast<std::uint32_t>(Imm));
+    retJump(Asm.jmp());
   }
 
   void retL(Reg R) {
+    if (!Reachable)
+      return;
     if constexpr (UsesOpStencils) {
       if (R >= 0) {
         noteUsed(R);
-        Asm.opRetMovL(R);
-        epilogue();
+        retJump(Asm.opRetJmpL(R));
         return;
       }
     }
     x86::GPR P = srcI(R, detail::ScratchA);
     if (P != x86::RAX)
       Asm.movRR64(x86::RAX, P);
-    epilogue();
+    retJump(Asm.jmp());
   }
 
   void retD(FReg R) {
-    if constexpr (UsesOpStencils) {
-      if (R >= 0) {
-        Asm.opRetMovD(R);
-        epilogue();
-        return;
-      }
-    }
+    if (!Reachable)
+      return;
     x86::XMM P = srcD(R, detail::FScratchA);
     if (P != x86::XMM0)
       Asm.movsdRR(x86::XMM0, P);
-    epilogue();
+    retJump(Asm.jmp());
   }
 
-  /// Patches the frame size; returns the entry point. No operations may be
-  /// emitted afterwards.
+  /// False after an unconditional jump or a return, until the next label
+  /// is bound: code emitted there can never run.
+  bool reachable() const { return Reachable; }
+
+  /// Emits the shared epilogue, patches the frame size and returns the
+  /// entry point. No operations may be emitted afterwards.
   void *finish() {
     assert(!Finished && "finish called twice");
+    if (Epilogue.valid()) {
+      // A return that ends the code would jump to the very next byte.
+      if (EpilogueJmpEnd == Asm.pc()) {
+        Asm.unemitJmp();
+        Labels[Epilogue.Id].Fixups.pop_back();
+      }
+      bindLabel(Epilogue);
+    }
 #ifndef NDEBUG
     for (const LabelInfo &L : Labels)
       assert(L.Bound && "unbound label at finish");
 #endif
+    const std::uint32_t Saved = UsedPoolMask & ((1u << NumIntPool) - 1);
+    if constexpr (UsesOpStencils)
+      Asm.opEpilogue(Saved);
+    else
+      emitEpilogue(Asm, Saved);
     std::uint32_t Frame =
         CalleeSaveBytes + 8 * static_cast<std::uint32_t>(NumSlots);
     Frame = (Frame + 15) & ~15u; // Keep calls 16-byte aligned.
     Asm.patch32(FramePatchOffset, Frame);
-    // Erase callee-save traffic for pool registers never handed out.
-    for (int I = 0; I < NumIntPool; ++I) {
-      if (UsedPoolMask & (1u << I))
-        continue;
-      Asm.nopFill(SaveSitePc[I], 4);
-      for (std::size_t E = 0; E < RestoreSitePcs.size(); E += NumIntPool)
-        Asm.nopFill(RestoreSitePcs[E + static_cast<std::size_t>(I)], 4);
-    }
+    // Erase the prologue's stores for pool registers never handed out.
+    for (int I = 0; I < NumIntPool; ++I)
+      if (!(Saved & (1u << I)))
+        Asm.nopFill(SaveSitePc[I], 4);
     Finished = true;
     return Asm.bufferBase();
+  }
+
+  /// The shared epilogue: reloads the callee-saved pool registers in
+  /// \p Saved (a bit per pool index) from their prologue slots, unwinds
+  /// the frame and returns. The stencil library renders its Epi[mask]
+  /// templates from this very sequence.
+  static void emitEpilogue(AsmT &A, std::uint32_t Saved) {
+    for (int I = 0; I < NumIntPool; ++I)
+      if (Saved & (1u << I))
+        A.loadRM64(detail::IntPoolPhys[I], x86::RBP, -8 * (I + 1));
+    A.movRR64(x86::RSP, x86::RBP);
+    A.pop(x86::RBP);
+    A.ret();
   }
 
   // --- Moves and constants -------------------------------------------------
@@ -1370,6 +1421,8 @@ public:
     assert(L.valid() && L.Id < Labels.size() && "bad label");
     LabelInfo &Info = Labels[L.Id];
     assert(!Info.Bound && "label bound twice");
+    Reachable = true;
+    EpilogueJmpEnd = SIZE_MAX;
     Info.Bound = true;
     Info.Pc = Asm.pc();
     for (std::size_t Fixup : Info.Fixups)
@@ -1377,13 +1430,12 @@ public:
     Info.Fixups.clear();
   }
 
+  /// Unconditional jump; emits nothing from unreachable code.
   void jump(Label L) {
-    assert(L.valid() && L.Id < Labels.size() && "bad label");
-    LabelInfo &Info = Labels[L.Id];
-    if (Info.Bound)
-      Asm.jmpTo(Info.Pc);
-    else
-      Info.Fixups.push_back(Asm.jmp());
+    if (!Reachable)
+      return;
+    branchAt(Asm.jmp(), L);
+    Reachable = false;
   }
 
   void brCmpI(CmpKind K, Reg A, Reg B, Label L) {
@@ -1405,8 +1457,7 @@ public:
     if constexpr (UsesOpStencils) {
       if (A >= 0) {
         noteUsed(A);
-        Asm.opCmpRI32(A, Imm);
-        branchOn(detail::condFor(K), L);
+        branchAt(Asm.opCmpRI32Jcc(A, Imm, detail::condFor(K)), L);
         return;
       }
     }
@@ -1570,10 +1621,6 @@ public:
   /// Callee-save store sites recorded by enter() (NumIntPool entries of 4
   /// bytes each; finish() nop-fills the ones for untouched pool registers).
   const std::size_t *saveSitePcs() const { return SaveSitePc; }
-  /// Callee-save reload sites, NumIntPool entries per emitted epilogue.
-  const ArenaVector<std::size_t> &restoreSitePcs() const {
-    return RestoreSitePcs;
-  }
 
 private:
   struct LabelInfo {
@@ -1744,27 +1791,27 @@ private:
     writeBackD(D, Pd);
   }
 
-  void branchOn(x86::Cond C, Label L) {
+  void branchOn(x86::Cond C, Label L) { branchAt(Asm.jcc(C), L); }
+
+  /// Points the just-emitted branch whose rel32 sits at \p Disp at \p L,
+  /// now or when L is bound.
+  void branchAt(std::size_t Disp, Label L) {
     assert(L.valid() && L.Id < Labels.size() && "bad label");
     LabelInfo &Info = Labels[L.Id];
     if (Info.Bound)
-      Asm.jccTo(C, Info.Pc);
+      Asm.patchBranch(Disp, Info.Pc);
     else
-      Info.Fixups.push_back(Asm.jcc(C));
+      Info.Fixups.push_back(Disp);
   }
 
-  void epilogue() {
-    if constexpr (UsesOpStencils) {
-      Asm.opEpilogue(RestoreSitePcs);
-      return;
-    }
-    for (int I = 0; I < NumIntPool; ++I) {
-      RestoreSitePcs.push_back(Asm.pc());
-      Asm.loadRM64(detail::IntPoolPhys[I], x86::RBP, -8 * (I + 1));
-    }
-    Asm.movRR64(x86::RSP, x86::RBP);
-    Asm.pop(x86::RBP);
-    Asm.ret();
+  /// Records a return's jump (\p Fixup: its rel32 offset) to the shared
+  /// epilogue; the code after it is unreachable.
+  void retJump(std::size_t Fixup) {
+    if (!Epilogue.valid())
+      Epilogue = newLabel();
+    Labels[Epilogue.Id].Fixups.push_back(Fixup);
+    Reachable = false;
+    EpilogueJmpEnd = Asm.pc();
   }
 
   AsmT Asm;
@@ -1780,11 +1827,15 @@ private:
   ArenaVector<LabelInfo> Labels;
   std::size_t FramePatchOffset = 0;
   bool Finished = false;
-  /// Pool registers actually handed to emitted code; unused ones get their
-  /// callee-save stores/reloads erased at finish().
+  /// Pool registers actually handed to emitted code; finish() reloads only
+  /// these in the epilogue and erases the other prologue stores.
   std::uint32_t UsedPoolMask = 0;
   std::size_t SaveSitePc[NumIntPool] = {};
-  ArenaVector<std::size_t> RestoreSitePcs; ///< NumIntPool entries/epilogue.
+  /// The shared epilogue every return jumps to (created by the first one).
+  Label Epilogue;
+  /// pc just past the latest return's jump while nothing followed it.
+  std::size_t EpilogueJmpEnd = SIZE_MAX;
+  bool Reachable = true;
 };
 
 } // namespace vcode

@@ -19,8 +19,9 @@
 //    inside the region, the region ends in a terminator (no fallthrough off
 //    the end), and indirect jumps are never admitted. Unreachable ranges
 //    are admitted but proven inert (no reachable transfer can enter them),
-//    since the walkers legitimately emit dead jumps and epilogue tails
-//    after explicit returns;
+//    since the walkers legitimately emit dead code after a return or an
+//    unconditional jump (the one-pass back end suppresses only dead jumps
+//    and returns);
 //  * stack discipline — an abstract stack depth (bytes below the entry rsp)
 //    is computed per block; paths may only join at equal depth, every ret
 //    is proven to unwind to exactly the entry depth with the frame pointer
@@ -226,7 +227,8 @@ bool emitterJustified(const Decoded &D, const icode::EmitterUsage &U) {
   case InstrClass::Jcc:
     return any({Op::BrCmpI, Op::BrCmpII, Op::BrCmpL, Op::BrCmpD, Op::BrTrue,
                 Op::BrFalse});
-  case InstrClass::Jmp: return any({Op::Jump});
+  case InstrClass::Jmp: // returns jump to the shared epilogue
+    return any({Op::Jump, Op::RetI, Op::RetL, Op::RetD, Op::RetVoid});
   case InstrClass::CallInd: return any({Op::Call, Op::CallIndirect});
   case InstrClass::SseLoad: return D.Rm == RegRBP || any({Op::LdD});
   case InstrClass::SseStore: return D.Rm == RegRBP || any({Op::StD});

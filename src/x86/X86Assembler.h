@@ -268,9 +268,13 @@ public:
                                        static_cast<std::int64_t>(DispOffset) -
                                        4));
   }
-  /// Direct branch to an already-known target.
-  void jmpTo(std::size_t Target) { patchBranch(jmp(), Target); }
-  void jccTo(Cond C, std::size_t Target) { patchBranch(jcc(C), Target); }
+  /// Retracts the `jmp rel32` that ends the emitted code (5 bytes, one
+  /// instruction) — a jump to the next byte is a no-op.
+  void unemitJmp() {
+    assert(Pos >= 5 && Buf[Pos - 5] == 0xE9 && "trailing bytes are no jmp");
+    Pos -= 5;
+    --NumInstrs;
+  }
   void jmpR(GPR R);  ///< jmp *R
   void callR(GPR R); ///< call *R
   void ret() {

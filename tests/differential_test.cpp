@@ -18,14 +18,21 @@
 #include "core/Context.h"
 #include "core/SpecInterp.h"
 #include "tier/Tier.h"
+#include "x86/X86Decoder.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <dirent.h>
+#include <stdlib.h>
+#include <unistd.h>
 
 using namespace tcc;
 using namespace tcc::core;
@@ -397,3 +404,356 @@ TEST(Differential, TieredInterpretedPromotionUnderLoad) {
 }
 
 } // namespace
+
+// --- Reachability and the shared epilogue -----------------------------------
+//
+// Every return jumps to one epilogue per function, and the one-pass back end
+// emits no jump or return where control cannot reach. These shapes put
+// returns, labels and loop exits where that bookkeeping matters; each must
+// agree with its host-side reference on the interpreter (when it can run
+// the spec), VCODE, PCODE (byte-identical to VCODE), ICODE, and a snapshot
+// round trip.
+
+namespace {
+
+/// Written by the void shape; read back after each call.
+int VoidCell = 0;
+
+struct ReachShape {
+  const char *Name;
+  EvalType RetType;
+  /// Builds the body over `int x` (parameter 0) into a fresh Context.
+  std::function<Stmt(Context &)> Build;
+  /// Host reference: the return value (the cell's value for Void).
+  std::function<double(int)> Ref;
+};
+
+std::vector<ReachShape> reachShapes() {
+  std::vector<ReachShape> Shapes;
+
+  // acc = 0; i = 0; goto Body;
+  // Tail: return acc;       -- Body is bound right after this return
+  // Body: if (i >= x) goto Tail; acc += i * i; i += 1; goto Body;
+  Shapes.push_back(
+      {"label-after-return", EvalType::Int,
+       [](Context &C) {
+         VSpec X = C.paramInt(0), Acc = C.localInt(), I = C.localInt();
+         DynLabel Tail = C.newLabel(), Body = C.newLabel();
+         return C.block(
+             {C.assign(Acc, C.intConst(0)), C.assign(I, C.intConst(0)),
+              C.gotoLabel(Body), C.labelHere(Tail), C.ret(Acc),
+              C.labelHere(Body),
+              C.ifStmt(Expr(I) >= Expr(X), C.gotoLabel(Tail)),
+              C.assign(Acc, Expr(Acc) + Expr(I) * Expr(I)),
+              C.assign(I, Expr(I) + C.intConst(1)), C.gotoLabel(Body)});
+       },
+       [](int X) {
+         int Acc = 0;
+         for (int I = 0; I < X; ++I)
+           Acc += I * I;
+         return double(Acc);
+       }});
+
+  // acc = x; if (x & 1) { if (x > 5) return acc * 2; else return 7;
+  // acc += 100; } acc += 3; return acc;
+  Shapes.push_back(
+      {"if-both-arms-return", EvalType::Int,
+       [](Context &C) {
+         VSpec X = C.paramInt(0), Acc = C.localInt();
+         return C.block(
+             {C.assign(Acc, Expr(X)),
+              C.ifStmt(Expr(X) & C.intConst(1),
+                       C.block({C.ifStmt(Expr(X) > C.intConst(5),
+                                         C.ret(Expr(Acc) * C.intConst(2)),
+                                         C.ret(C.intConst(7))),
+                                C.assign(Acc, Expr(Acc) + C.intConst(100))})),
+              C.assign(Acc, Expr(Acc) + C.intConst(3)), C.ret(Acc)});
+       },
+       [](int X) { return double((X & 1) ? (X > 5 ? X * 2 : 7) : X + 3); }});
+
+  // for (i = 0; i < x; i += 1) { acc += i; if (acc > 20) { acc += 1000;
+  // break; } continue; } while (acc < 5) { acc += 2; break; }
+  // for (j = 0; j < 3; j += 1) acc += j;   -- unrolled
+  // for (k = 0; k < 8; k += 1) { acc += k; if (acc > x + 40) break; }
+  // for (n = 0; n < 4; n += 1) { acc += n; continue; }
+  // for (m = 0; m < 6; m += 1) { acc += m; m += 1; }
+  // return acc;   -- constant bounds, but break, continue and the write to
+  //                  m each keep their loop rolled
+  Shapes.push_back(
+      {"loop-ends-in-break-or-continue", EvalType::Int,
+       [](Context &C) {
+         VSpec X = C.paramInt(0), Acc = C.localInt(), I = C.localInt(),
+               J = C.localInt(), K = C.localInt(), N = C.localInt(),
+               M = C.localInt();
+         return C.block(
+             {C.assign(Acc, C.intConst(0)),
+              C.forStmt(I, C.intConst(0), vcode::CmpKind::LtS, Expr(X),
+                        C.intConst(1),
+                        C.block({C.assign(Acc, Expr(Acc) + Expr(I)),
+                                 C.ifStmt(Expr(Acc) > C.intConst(20),
+                                          C.block({C.assign(Acc,
+                                                            Expr(Acc) +
+                                                                C.intConst(
+                                                                    1000)),
+                                                   C.breakStmt()})),
+                                 C.continueStmt()})),
+              C.whileStmt(Expr(Acc) < C.intConst(5),
+                          C.block({C.assign(Acc, Expr(Acc) + C.intConst(2)),
+                                   C.breakStmt()})),
+              C.forStmt(J, C.intConst(0), vcode::CmpKind::LtS, C.intConst(3),
+                        C.intConst(1), C.assign(Acc, Expr(Acc) + Expr(J))),
+              C.forStmt(K, C.intConst(0), vcode::CmpKind::LtS, C.intConst(8),
+                        C.intConst(1),
+                        C.block({C.assign(Acc, Expr(Acc) + Expr(K)),
+                                 C.ifStmt(Expr(Acc) >
+                                              Expr(X) + C.intConst(40),
+                                          C.breakStmt())})),
+              C.forStmt(N, C.intConst(0), vcode::CmpKind::LtS, C.intConst(4),
+                        C.intConst(1),
+                        C.block({C.assign(Acc, Expr(Acc) + Expr(N)),
+                                 C.continueStmt()})),
+              C.forStmt(M, C.intConst(0), vcode::CmpKind::LtS, C.intConst(6),
+                        C.intConst(1),
+                        C.block({C.assign(Acc, Expr(Acc) + Expr(M)),
+                                 C.assign(M, Expr(M) + C.intConst(1))})),
+              C.ret(Acc)});
+       },
+       [](int X) {
+         int Acc = 0;
+         for (int I = 0; I < X; ++I) {
+           Acc += I;
+           if (Acc > 20) {
+             Acc += 1000;
+             break;
+           }
+         }
+         if (Acc < 5)
+           Acc += 2;
+         Acc += 3;
+         for (int K = 0; K < 8; ++K) {
+           Acc += K;
+           if (Acc > X + 40)
+             break;
+         }
+         Acc += 0 + 1 + 2 + 3;
+         for (int M = 0; M < 6; M += 2)
+           Acc += M;
+         return double(Acc);
+       }});
+
+  // if (x < 0) { cell = -1; return; } if (x == 0) return; cell = x * 3;
+  // if (x > 10) return; cell = cell + 1;
+  Shapes.push_back(
+      {"void-several-returns", EvalType::Void,
+       [](Context &C) {
+         VSpec X = C.paramInt(0);
+         Expr Cell = C.rcPtr(&VoidCell);
+         return C.block(
+             {C.ifStmt(Expr(X) < C.intConst(0),
+                       C.block({C.storeMem(MemType::I32, Cell,
+                                           C.intConst(-1)),
+                                C.retVoid()})),
+              C.ifStmt(Expr(X) == C.intConst(0), C.retVoid()),
+              C.storeMem(MemType::I32, Cell, Expr(X) * C.intConst(3)),
+              C.ifStmt(Expr(X) > C.intConst(10), C.retVoid()),
+              C.storeMem(MemType::I32, Cell,
+                         C.fvInt(&VoidCell) + C.intConst(1))});
+       },
+       [](int X) {
+         if (X < 0)
+           return -1.0;
+         if (X == 0)
+           return 0.0; // The cell is cleared before each call.
+         return double(X > 10 ? X * 3 : X * 3 + 1);
+       }});
+
+  // if (x < 0) return 0.5; if (x > 10) return x * 1.5; return x + 0.25;
+  Shapes.push_back(
+      {"double-several-returns", EvalType::Double,
+       [](Context &C) {
+         VSpec X = C.paramInt(0);
+         return C.block(
+             {C.ifStmt(Expr(X) < C.intConst(0), C.ret(C.doubleConst(0.5))),
+              C.ifStmt(Expr(X) > C.intConst(10),
+                       C.ret(Expr(X) * C.doubleConst(1.5))),
+              C.ret(Expr(X) + C.doubleConst(0.25))});
+       },
+       [](int X) {
+         if (X < 0)
+           return 0.5;
+         return X > 10 ? X * 1.5 : X + 0.25;
+       }});
+  return Shapes;
+}
+
+/// Calls a compiled shape on \p X; returns its result (the cell for Void).
+double callShape(const void *Entry, EvalType RT, int X) {
+  switch (RT) {
+  case EvalType::Double:
+    return reinterpret_cast<double (*)(int)>(const_cast<void *>(Entry))(X);
+  case EvalType::Void:
+    VoidCell = 0;
+    reinterpret_cast<void (*)(int)>(const_cast<void *>(Entry))(X);
+    return VoidCell;
+  default:
+    return reinterpret_cast<int (*)(int)>(const_cast<void *>(Entry))(X);
+  }
+}
+
+const int ShapeInputs[] = {-3, 0, 1, 2, 4, 5, 7, 9, 11, 12, 25};
+
+/// A snapshot directory removed (with contents) afterwards.
+struct ScratchDir {
+  std::string Path;
+  ScratchDir() {
+    char Buf[] = "/tmp/tickc_reach_XXXXXX";
+    Path = mkdtemp(Buf);
+  }
+  ~ScratchDir() {
+    if (DIR *D = opendir(Path.c_str())) {
+      while (dirent *E = readdir(D)) {
+        std::string Name = E->d_name;
+        if (Name != "." && Name != "..")
+          ::unlink((Path + "/" + Name).c_str());
+      }
+      closedir(D);
+    }
+    ::rmdir(Path.c_str());
+  }
+};
+
+/// Decodes \p F's machine code.
+std::vector<std::pair<std::size_t, x86::Decoded>> decodeAll(
+    const CompiledFn &F) {
+  std::vector<std::pair<std::size_t, x86::Decoded>> Out;
+  const auto *Code = static_cast<const std::uint8_t *>(F.entry());
+  const std::size_t Size = F.stats().CodeBytes;
+  for (std::size_t Off = 0; Off < Size;) {
+    x86::Decoded D;
+    const char *Err = nullptr;
+    if (!x86::decodeOne(Code, Size, Off, D, &Err)) {
+      ADD_FAILURE() << "undecodable byte at +" << Off << ": " << Err;
+      break;
+    }
+    Out.emplace_back(Off, D);
+    Off += D.Len;
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(Reachability, ShapesAgreeOnEveryTier) {
+  const BackendKind Backends[] = {BackendKind::VCode, BackendKind::PCode,
+                                  BackendKind::ICode};
+  for (const ReachShape &Sh : reachShapes()) {
+    Context C;
+    Stmt Body = Sh.Build(C);
+    std::vector<CompiledFn> Fns;
+    for (BackendKind BK : Backends) {
+      CompileOptions O;
+      O.Backend = BK;
+      CompiledFn F = compileFn(C, Body, Sh.RetType, O);
+      ASSERT_TRUE(F.valid()) << Sh.Name;
+      for (int X : ShapeInputs)
+        EXPECT_EQ(callShape(F.entry(), Sh.RetType, X), Sh.Ref(X))
+            << Sh.Name << " backend " << static_cast<int>(BK) << " x=" << X;
+      Fns.push_back(std::move(F));
+    }
+    ASSERT_EQ(Fns[0].stats().CodeBytes, Fns[1].stats().CodeBytes) << Sh.Name;
+    EXPECT_EQ(std::memcmp(Fns[0].entry(), Fns[1].entry(),
+                          Fns[0].stats().CodeBytes),
+              0)
+        << Sh.Name << ": PCODE bytes differ from VCODE";
+    for (const CompiledFn &F : Fns) {
+      unsigned Rets = 0;
+      for (const auto &[Off, D] : decodeAll(F))
+        Rets += D.Cls == x86::InstrClass::Ret;
+      EXPECT_EQ(Rets, 1u) << Sh.Name;
+    }
+
+    // The interpreter has no dynamic labels; it runs the other shapes.
+    if (specInterpretable(C, Body, Sh.RetType)) {
+      SpecInterp Interp(C, Body, Sh.RetType);
+      for (int X : ShapeInputs) {
+        std::int64_t IA[1] = {X};
+        VoidCell = 0;
+        InterpResult R = Interp.run(IA, 1, nullptr, 0);
+        double Got = Sh.RetType == EvalType::Double ? R.D
+                     : Sh.RetType == EvalType::Void
+                         ? VoidCell
+                         : static_cast<int>(R.I);
+        EXPECT_EQ(Got, Sh.Ref(X)) << Sh.Name << " interp x=" << X;
+      }
+    } else {
+      EXPECT_STREQ(Sh.Name, "label-after-return");
+    }
+
+    // Snapshot round trip: a second service over the same directory loads
+    // each backend's code (admission-verified) instead of compiling it.
+    for (BackendKind BK : Backends) {
+      ScratchDir Dir;
+      cache::ServiceConfig SC;
+      SC.SnapshotDir = Dir.Path;
+      CompileOptions O;
+      O.Backend = BK;
+      {
+        cache::CompileService Cold(SC);
+        Context CC;
+        ASSERT_TRUE(Cold.getOrCompile(CC, Sh.Build(CC), Sh.RetType, O));
+      }
+      cache::CompileService Warm(SC);
+      Context WC;
+      cache::FnHandle H = Warm.getOrCompile(WC, Sh.Build(WC), Sh.RetType, O);
+      ASSERT_TRUE(H);
+      EXPECT_TRUE(H->fromSnapshot())
+          << Sh.Name << " backend " << static_cast<int>(BK);
+      for (int X : ShapeInputs)
+        EXPECT_EQ(callShape(H->entry(), Sh.RetType, X), Sh.Ref(X))
+            << Sh.Name << " snapshot backend " << static_cast<int>(BK)
+            << " x=" << X;
+    }
+  }
+}
+
+TEST(Reachability, SearchTreeHasOneRetAndNoReloadNops) {
+  // A `$`-keyed binary search unrolled into a decision tree: one return per
+  // leaf and per key match. It keeps exactly one ret (the shared epilogue)
+  // and its only nops are erased prologue saves.
+  std::vector<int> Keys;
+  for (int I = 0; I < 64; ++I)
+    Keys.push_back(3 * I + 1);
+  Context C;
+  VSpec Key = C.paramInt(0);
+  std::function<Stmt(int, int)> Tree = [&](int Lo, int Hi) -> Stmt {
+    if (Lo > Hi)
+      return C.ret(C.intConst(-1));
+    int Mid = (Lo + Hi) / 2;
+    return C.block(
+        {C.ifStmt(Expr(Key) == C.rcInt(Keys[Mid]), C.ret(C.rcInt(Mid))),
+         C.ifStmt(Expr(Key) > C.rcInt(Keys[Mid]), Tree(Mid + 1, Hi),
+                  Tree(Lo, Mid - 1))});
+  };
+  Stmt Body = Tree(0, static_cast<int>(Keys.size()) - 1);
+  // push rbp; mov rbp, rsp; sub rsp, imm32; five 4-byte callee-save stores.
+  constexpr std::size_t PrologueBytes = 1 + 3 + 7 + 5 * 4;
+  for (BackendKind BK :
+       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+    CompileOptions O;
+    O.Backend = BK;
+    CompiledFn F = compileFn(C, Body, EvalType::Int, O);
+    auto *Find = F.as<int(int)>();
+    for (int I = 0; I < static_cast<int>(Keys.size()); ++I) {
+      EXPECT_EQ(Find(Keys[I]), I) << static_cast<int>(BK);
+      EXPECT_EQ(Find(Keys[I] + 1), -1) << static_cast<int>(BK);
+    }
+    unsigned Rets = 0;
+    for (const auto &[Off, D] : decodeAll(F)) {
+      Rets += D.Cls == x86::InstrClass::Ret;
+      if (D.Cls == x86::InstrClass::Nop)
+        EXPECT_LT(Off, PrologueBytes)
+            << static_cast<int>(BK) << ": nop outside the prologue";
+    }
+    EXPECT_EQ(Rets, 1u) << static_cast<int>(BK);
+  }
+}

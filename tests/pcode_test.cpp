@@ -239,6 +239,52 @@ int sumOfSquaresRef(int N) {
   return Acc;
 }
 
+TEST(PCode, DroppedFinalJumpKeepsTraceInStep) {
+  // A return that ends the code jumps to the next byte, so finish() drops
+  // that jump. The stencil trace (the stencil bench replays it) and the
+  // stencil instruction count must shrink with the bytes: replaying the
+  // trace reproduces the function past the prologue, whose save stores
+  // finish() nop-fills in place.
+  const pcode::StencilLibrary &Lib = pcode::StencilLibrary::get();
+  for (int Case = 0; Case < 3; ++Case) {
+    std::uint8_t Buf[256];
+    Arena A(1 << 12);
+    std::vector<pcode::StencilAssembler::TraceEnt> Trace;
+    pcode::StencilAssembler::setTrace(&Trace);
+    pcode::PCode P(Buf, sizeof(Buf), &A);
+    P.enter();
+    P.bindArgI(0, 0);
+    P.addII(0, 0, 5);
+    if (Case == 0)
+      P.retI(0);
+    else if (Case == 1)
+      P.retL(0);
+    else
+      P.retII(42);
+    P.finish();
+    pcode::StencilAssembler::setTrace(nullptr);
+
+    std::uint8_t Re[sizeof(Buf) + x86::Assembler::StencilWindow];
+    x86::Assembler R(Re, sizeof(Re));
+    unsigned Instrs = 0;
+    for (const auto &E : Trace) {
+      std::size_t At = R.appendStencil(E.S->Bytes, E.S->Len, E.S->Instrs);
+      if (E.HasPatch)
+        pcode::applyStencilHoles(Re + At, *E.S, E.V);
+      EXPECT_FALSE(E.IsBranch) << "case " << Case;
+      Instrs += E.S->Instrs;
+    }
+    EXPECT_EQ(R.pc(), P.codeBytes()) << "case " << Case;
+    EXPECT_EQ(Instrs, P.assembler().stencilInstrs()) << "case " << Case;
+    EXPECT_EQ(Instrs, P.instructionsEmitted()) << "case " << Case;
+    const std::size_t Prologue = Lib.Enter.S.Len;
+    EXPECT_EQ(std::memcmp(Re + Prologue, Buf + Prologue,
+                          P.codeBytes() - Prologue),
+              0)
+        << "case " << Case;
+  }
+}
+
 TEST(PCode, CompileFnProducesRunnableCode) {
   Context C;
   Stmt Fn = sumOfSquares(C);

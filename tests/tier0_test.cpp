@@ -248,6 +248,51 @@ TEST(Tier0, ProfiledRollDecisionChangesGeneratedCode) {
   EXPECT_LT(FProf.stats().CodeBytes, FStatic.stats().CodeBytes);
 }
 
+TEST(Tier0, ProfileDecisionsFollowForOrdinals) {
+  // Three For statements, numbered in pre-order: an outer loop (0) around
+  // an inner one (1), then a loop (2) whose body holds a vspec
+  // `$`-expression, which folds only while that loop unrolls. A roll
+  // decision changes the code of the loop at its ordinal and no other, and
+  // is ignored for loop 2 (honoring it would leave the `$`-expression
+  // unevaluable).
+  auto Build = [](Context &C) {
+    using vcode::CmpKind;
+    VSpec X = C.paramInt(0), Acc = C.localInt(), I = C.localInt(),
+          J = C.localInt(), K = C.localInt();
+    return C.block(
+        {C.assign(Acc, C.intConst(0)),
+         C.forStmt(I, C.intConst(0), CmpKind::LtS, C.intConst(4),
+                   C.intConst(1),
+                   C.forStmt(J, C.intConst(0), CmpKind::LtS, C.intConst(4),
+                             C.intConst(1),
+                             C.assign(Acc, Expr(Acc) + Expr(X) + Expr(J)))),
+         C.forStmt(K, C.intConst(0), CmpKind::LtS, C.intConst(4),
+                   C.intConst(1),
+                   C.assign(Acc, Expr(Acc) +
+                                     C.rtEval(Expr(K) * C.intConst(3)))),
+         C.ret(Acc)});
+  };
+  std::size_t Bytes[4]; // No roll, then a roll decision for loop 0, 1, 2.
+  for (int Roll = -1; Roll < 3; ++Roll) {
+    Tier0ProfileSnapshot Snap;
+    Snap.NumLoops = 3;
+    if (Roll >= 0)
+      Snap.Decision[Roll] = 1;
+    CompileOptions O;
+    O.Backend = BackendKind::VCode;
+    O.TripProfile = &Snap;
+    Context C;
+    CompiledFn F = compileFn(C, Build(C), EvalType::Int, O);
+    ASSERT_TRUE(F.valid()) << "roll " << Roll;
+    EXPECT_EQ(F.as<int(int)>()(5), 16 * 5 + 4 * 6 + 3 * 6) << "roll " << Roll;
+    Bytes[Roll + 1] = F.stats().CodeBytes;
+  }
+  EXPECT_LT(Bytes[1], Bytes[0]); // Outer loop rolled.
+  EXPECT_LT(Bytes[2], Bytes[0]); // Inner loop rolled in each outer copy.
+  EXPECT_NE(Bytes[1], Bytes[2]);
+  EXPECT_EQ(Bytes[3], Bytes[0]); // Loop 2 must unroll anyway.
+}
+
 TEST(Tier0, SlotProfileFeedsThePromotedCompile) {
   ServiceConfig Cfg; // Tier 0 + profiling on by default.
   CompileService S(Cfg);

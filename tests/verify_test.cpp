@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/BinSearch.h"
 #include "bench/AppAdapters.h"
 #include "core/Compile.h"
 #include "core/Context.h"
@@ -375,6 +376,24 @@ CompiledFn compileDoubleFn(const CompileOptions &Opts) {
   VSpec X = C.paramDouble(0);
   Stmt Body = C.ret(Expr(X) * C.doubleConst(3.5) + C.doubleConst(1.25));
   return compileFn(C, Body, EvalType::Double, Opts);
+}
+
+/// Sums n*n for n = N down to 1 but returns early once the sum passes 1000:
+/// two returns, both jumping to the shared epilogue, around pool registers
+/// the epilogue must reload.
+CompiledFn compileEarlyReturnFn(const CompileOptions &Opts) {
+  Context C;
+  VSpec N = C.paramInt(0);
+  VSpec Acc = C.localInt();
+  Stmt Body = C.block(
+      {C.assign(Acc, C.intConst(0)),
+       C.whileStmt(Expr(N) > C.intConst(0),
+                   C.block({C.assign(Acc, Expr(Acc) + Expr(N) * Expr(N)),
+                            C.assign(N, Expr(N) - C.intConst(1)),
+                            C.ifStmt(Expr(Acc) > C.intConst(1000),
+                                     C.ret(Acc))})),
+       C.ret(Expr(Acc) + C.intConst(1))});
+  return compileFn(C, Body, EvalType::Int, Opts);
 }
 
 /// f(x) = dummyCallee(x) + x — a body with a C call under every backend.
@@ -1395,6 +1414,52 @@ TEST(VerifyAdmission, HostileRecordsRejected) {
     }
   }
 
+  // --- Shared epilogue --------------------------------------------------------
+  // A return's jump retargeted past the epilogue's callee-save reloads onto
+  // its `mov rsp, rbp`: that path reaches ret with a clobbered callee-saved
+  // register never restored.
+  for (const Cfg &Cf : Cfgs) {
+    CompileOptions Opts;
+    Opts.Backend = Cf.BK;
+    CompiledFn F = compileEarlyReturnFn(Opts);
+    ASSERT_EQ(F.as<int(int)>()(3), 15);
+    ASSERT_EQ(F.as<int(int)>()(20), 400 + 361 + 324);
+    AdmitProgram P = AdmitProgram::of(F, nullptr);
+    ASSERT_TRUE(verify::verifyAdmission(P.inputs()).ok()) << Cf.Name;
+    // The epilogue ends the region: reloads, mov rsp, rbp; pop rbp; ret.
+    const std::size_t N = P.Ins.size();
+    ASSERT_GE(N, 4u);
+    ASSERT_EQ(P.Ins[N - 1].Cls, x86::InstrClass::Ret) << Cf.Name;
+    ASSERT_EQ(P.Ins[N - 3].Cls, x86::InstrClass::MovRR) << Cf.Name;
+    std::size_t First = N - 3;
+    while (First > 0 && P.Ins[First - 1].Cls == x86::InstrClass::Load &&
+           P.Ins[First - 1].IsMem && P.Ins[First - 1].Rm == 5 &&
+           P.Ins[First - 1].Disp < 0 && P.Ins[First - 1].Disp >= -40)
+      --First;
+    ASSERT_LT(First, N - 3) << Cf.Name << ": epilogue reloads nothing";
+    const std::size_t Reloads = P.Starts[First], MovRsp = P.Starts[N - 3];
+    unsigned Retargeted = 0;
+    for (std::size_t I = 0; I < N; ++I) {
+      if (P.Ins[I].Cls != x86::InstrClass::Jmp)
+        continue;
+      const std::size_t End = P.Starts[I] + P.Ins[I].Len;
+      if (End + P.Ins[I].Rel32 != Reloads)
+        continue;
+      std::int32_t Rel = static_cast<std::int32_t>(MovRsp) -
+                         static_cast<std::int32_t>(End);
+      std::size_t RelOff = End - 4;
+      runAdmitCase(T, P, "callee-saved",
+                   [RelOff, Rel](AdmitProgram &M) {
+                     std::memcpy(&M.Bytes[RelOff], &Rel, 4);
+                   },
+                   std::string(Cf.Name) +
+                       ": return jump skips the epilogue's reloads @+" +
+                       std::to_string(P.Starts[I]));
+      ++Retargeted;
+    }
+    EXPECT_GE(Retargeted, 1u) << Cf.Name << ": no return jumps to the epilogue";
+  }
+
   // --- Profile hooks ---------------------------------------------------------
   {
     CompileOptions ProfOpts;
@@ -1457,6 +1522,28 @@ TEST(VerifyAdmission, AcceptsCleanCompilesAllBackends) {
             Before.counter(N::VerifyAdmitChecked) + Compiled);
   EXPECT_GT(After.counter(N::VerifyAdmitBlocks),
             Before.counter(N::VerifyAdmitBlocks));
+}
+
+TEST(VerifyAdmission, AcceptsLargeBinarySearchAllBackends) {
+  // A 1024-key search is a decision tree with ~2,000 returns, every one a
+  // jump to the one shared epilogue.
+  apps::BinSearchApp App(1024, 11);
+  for (BackendKind BK :
+       {BackendKind::VCode, BackendKind::PCode, BackendKind::ICode}) {
+    support::RelocTable RT;
+    CompileOptions Opts;
+    Opts.Backend = BK;
+    Opts.Verify = true; // The in-pipeline admission gate runs here.
+    Opts.Relocs = &RT;
+    CompiledFn F = App.specialize(Opts);
+    ASSERT_TRUE(F.valid());
+    EXPECT_EQ(F.as<int(int)>()(App.presentKey()),
+              App.findStaticO2(App.presentKey()));
+    EXPECT_EQ(F.as<int(int)>()(App.absentKey()), -1);
+    AdmitProgram P = AdmitProgram::of(F, &RT);
+    verify::Result R = verify::verifyAdmission(P.inputs());
+    EXPECT_TRUE(R.ok()) << static_cast<int>(BK) << ":\n" << R.render();
+  }
 }
 
 TEST(VerifyAdmission, RejectionArtifactSample) {
