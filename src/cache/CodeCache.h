@@ -90,7 +90,7 @@ public:
 
 private:
   struct Entry {
-    SpecKey Key;
+    SpecKey Key; ///< Same bytes as its Map key: copies share one buffer.
     FnHandle Fn;
     std::size_t Bytes = 0;
   };

@@ -64,12 +64,8 @@ FnHandle CompileService::getOrCompile(Context &Ctx, Stmt Body,
         compilePooled(Ctx, Body, RetType, Opts));
   }
 
-  SpecKey K;
-  {
-    obs::TraceSpan Span(obs::SpanKind::SpecFingerprint);
-    K = buildSpecKey(Ctx, Body, RetType, Opts);
-  }
-  return getOrCompileKeyed(Ctx, Body, RetType, Opts, K);
+  return getOrCompileKeyed(Ctx, Body, RetType, Opts,
+                           buildSpecKey(Ctx, Body, RetType, Opts));
 }
 
 FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
@@ -134,8 +130,8 @@ FnHandle CompileService::getOrCompileKeyed(Context &Ctx, Stmt Body,
   if (!H && Snap) {
     // Warm-start path: probe the on-disk snapshot before paying for a
     // compile, and teach it any compile it could not serve. Both sides key
-    // on the address-independent PersistKey (one extra fingerprint walk,
-    // only ever on a cold miss with persistence enabled).
+    // on the address-independent PersistKey (one extra pass over the
+    // nodes, only ever on a cold miss with persistence enabled).
     PersistKey PK = buildPersistKey(Ctx, Body, RetType, Opts);
     core::CompiledFn L = Snap->tryLoad(PK, Opts);
     if (L.valid())

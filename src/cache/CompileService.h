@@ -8,7 +8,8 @@
 /// \file
 /// The front door for server-shaped workloads: getOrCompile() memoizes
 /// compileFn() behind a structural cache key and allocates code regions
-/// from a pool. A cache hit costs one fingerprint walk and one sharded map
+/// from a pool. A cache hit costs one key pass over the spec's nodes in
+/// creation order, one hash pass over the key bytes, and one sharded map
 /// lookup — no mmap, no mprotect, no code generation; a cold compile still
 /// skips the mmap whenever the pool holds a reusable region. Concurrent
 /// misses on one key are single-flighted: one thread compiles, the rest
@@ -123,7 +124,7 @@ public:
                         core::CompileOptions Opts = core::CompileOptions());
 
   /// getOrCompile() with the fingerprint already built: skips the key
-  /// derivation walk when the caller (like the tier manager, which needs
+  /// derivation pass when the caller (like the tier manager, which needs
   /// the key for its own slot memoization anyway) has one for exactly this
   /// (Ctx, Body, RetType, Opts) request. Passing a key built from different
   /// inputs poisons the cache.
@@ -134,7 +135,7 @@ public:
   /// The steady-state fast path: probes the cache with a key the caller
   /// built earlier (see QueryApp::cacheKey / PowerApp::cacheKey). A server
   /// that fingerprints each plan once can serve repeat instantiations from
-  /// here without rebuilding or re-walking the spec; on a null return, fall
+  /// here without rebuilding or re-keying the spec; on a null return, fall
   /// back to getOrCompile(). Returns null for uncacheable keys and when the
   /// cache is disabled.
   FnHandle lookup(const SpecKey &K);

@@ -3,7 +3,11 @@
 #include "cache/SpecKey.h"
 
 #include "core/SpecInterp.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
+#include "observability/Trace.h"
 #include "support/Hash.h"
+#include "support/Timing.h"
 #include "verify/Verify.h"
 
 #include <bit>
@@ -13,32 +17,52 @@ using namespace tcc;
 using namespace tcc::cache;
 using namespace tcc::core;
 
+KeyBytes::KeyBytes(const std::uint8_t *Data, std::size_t Size) : Size(Size) {
+  if (!Size)
+    return;
+  std::shared_ptr<std::uint8_t[]> B =
+      std::make_shared_for_overwrite<std::uint8_t[]>(Size);
+  std::memcpy(B.get(), Data, Size);
+  Buf = std::move(B);
+}
+
 namespace {
 
-/// Serializes a specification tree into canonical bytes. Derived node facts
-/// (RegNeed, Flags) are skipped: they are functions of the serialized
-/// structure. Null children get an explicit marker so sibling boundaries
-/// stay unambiguous.
+/// Stmt records start with this bit set over the StmtKind; expr records
+/// start with the bare ExprKind, which stays below it.
+constexpr std::uint8_t StmtTag = 0x80;
+
+/// Widest record of each node type before its argument or body list:
+/// three bytes, a 5-byte LocalId varint, a payload (putWord stores 9 bytes
+/// whatever it keeps), and five 5-byte varints (links and list length).
+constexpr std::size_t MaxRecord = 3 + 5 + 9 + 5 * 5;
+
+/// Serializes a spec into canonical bytes: the options, the vspec table,
+/// then one record per node in creation order (see SpecKey.h). Derived
+/// node facts (RegNeed, Flags, CallFpArgs) are skipped: they are functions
+/// of the serialized structure.
 class KeyWriter {
 public:
-  explicit KeyWriter(std::vector<std::uint8_t> &Out,
-                     std::vector<ExtRef> *Refs = nullptr)
-      : Out(Out), Refs(Refs) {
-    Out.resize(1024);
+  KeyWriter(std::vector<std::uint8_t> &Out, const Context &Ctx,
+            std::vector<ExtRef> *Refs = nullptr)
+      : Out(Out), Ctx(&Ctx), Refs(Refs) {
+    if (Out.size() < 1024)
+      Out.resize(1024);
     Cur = Out.data();
     End = Cur + Out.size();
   }
 
   bool Cacheable = true;
 
-  /// Trims the buffer to the bytes actually written. Must be called before
-  /// the caller reads Out.
-  void finish() { Out.resize(static_cast<std::size_t>(Cur - Out.data())); }
+  std::size_t size() const {
+    return static_cast<std::size_t>(Cur - Out.data());
+  }
 
   // Key construction sits on the cache-hit path, so the serializer is tuned
   // like one: a raw cursor over a pre-grown buffer, one capacity check per
-  // node covering all of that node's fixed-width fields, then unchecked
-  // stores. Host byte order is fine — keys never leave the process.
+  // record covering all of its fixed-size fields, then unchecked stores.
+  // Host byte order is fine — SpecKeys never leave the process, and
+  // snapshot files are x86-64 only.
   void ensure(std::size_t N) {
     if (static_cast<std::size_t>(End - Cur) < N)
       grow(N);
@@ -50,30 +74,63 @@ public:
   void u8(std::uint8_t V) { *Cur++ = V; }
   void u32(std::uint32_t V) { raw(&V, sizeof V); }
   void u64(std::uint64_t V) { raw(&V, sizeof V); }
+  void varint(std::uint32_t V) { Cur = putVarint(Cur, V); }
 
-  void expr(const ExprNode *N) {
-    if (!N) {
-      ensure(1);
-      u8(0);
+  /// The records of nodes 0..Root->Ord, preceded by their count.
+  void nodes(const StmtNode *Root) {
+    ensure(5);
+    if (!Root) {
+      varint(0);
       return;
     }
-    // Header (8) plus the widest leaf payload (8).
-    ensure(16);
-    std::uint8_t Hdr[8];
-    Hdr[0] = 1;
-    Hdr[1] = static_cast<std::uint8_t>(N->Kind);
-    Hdr[2] = static_cast<std::uint8_t>(N->Type);
-    Hdr[3] = N->OpByte;
-    std::uint32_t Local = static_cast<std::uint32_t>(N->LocalId);
-    std::memcpy(Hdr + 4, &Local, 4);
-    raw(Hdr, 8);
-    switch (N->Kind) {
+    if (Root->Ctx != Ctx) {
+      Cacheable = false;
+      return;
+    }
+    std::uint32_t Count = Root->Ord + 1;
+    varint(Count);
+    if (!Ctx->forEachNode(Count, [this](const auto *N) { record(*N); }))
+      Cacheable = false;
+  }
+
+private:
+  /// The distance from \p Ord back to child \p C (0 for null). A child
+  /// that is not strictly older, or not from this Context, has no place in
+  /// the creation-order form: the spec becomes uncacheable.
+  template <typename NodeT>
+  std::uint32_t link(std::uint32_t Ord, const NodeT *C) {
+    if (!C)
+      return 0;
+    if (C->Ctx != Ctx || C->Ord >= Ord) {
+      Cacheable = false;
+      return 0;
+    }
+    return Ord - C->Ord;
+  }
+
+  // The record writers read the node into locals and store through a
+  // local cursor: a byte store may alias any object, so storing through
+  // the Cur member would reload and re-store it around every byte.
+  void record(const ExprNode &N) {
+    std::uint32_t Ord = N.Ord;
+    std::uint32_t A = link(Ord, N.A), B = link(Ord, N.B), C = link(Ord, N.C);
+    std::uint32_t ArgC = N.ArgC;
+    ensure(MaxRecord + 5 * static_cast<std::size_t>(ArgC));
+    std::uint8_t *P = Cur;
+    P[0] = static_cast<std::uint8_t>(N.Kind);
+    P[1] = static_cast<std::uint8_t>(N.Type);
+    P[2] = N.OpByte;
+    P = putVarint(P + 3, static_cast<std::uint32_t>(N.LocalId) + 1);
+    switch (N.Kind) {
     case ExprKind::ConstInt:
-    case ExprKind::ConstLong:
-      u64(static_cast<std::uint64_t>(N->IntVal));
+    case ExprKind::ConstLong: {
+      // Zigzag, so small negative `$` values stay short too.
+      auto V = static_cast<std::uint64_t>(N.IntVal);
+      P = putWord(P, (V << 1) ^ static_cast<std::uint64_t>(N.IntVal >> 63));
       break;
+    }
     case ExprKind::ConstDouble:
-      u64(std::bit_cast<std::uint64_t>(N->FpVal));
+      P = put64(P, std::bit_cast<std::uint64_t>(N.FpVal));
       break;
     case ExprKind::FreeVar:
     case ExprKind::Call: {
@@ -81,59 +138,76 @@ public:
       // mode (Refs attached) the key stays address-independent: the bytes
       // carry the first-occurrence ordinal, the addresses land in Refs.
       std::uint64_t Addr = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(N->PtrVal));
+          reinterpret_cast<std::uintptr_t>(N.PtrVal));
       if (Refs)
-        u32(refOrdinal(static_cast<std::uint8_t>(N->Kind), Addr));
+        P = putVarint(P, refOrdinal(static_cast<std::uint8_t>(N.Kind), Addr));
       else
-        u64(Addr);
+        P = putWord(P, Addr);
       break;
     }
     case ExprKind::RtEval:
       // The rc interpreter may read memory under $: the immediate it embeds
       // depends on the pointee at instantiation time, not on the tree.
-      if (N->A && (N->A->Flags & EF_HasMemOp))
+      if (N.A && (N.A->Flags & EF_HasMemOp))
         Cacheable = false;
       break;
     default:
       break;
     }
-    expr(N->A);
-    expr(N->B);
-    expr(N->C);
-    ensure(4);
-    u32(N->ArgC);
-    for (std::uint32_t I = 0; I < N->ArgC; ++I)
-      expr(N->ArgV[I]);
+    P = putVarint(P, A);
+    P = putVarint(P, B);
+    P = putVarint(P, C);
+    P = putVarint(P, ArgC);
+    for (std::uint32_t I = 0; I < ArgC; ++I)
+      P = putVarint(P, link(Ord, N.ArgV[I]));
+    Cur = P;
   }
 
-  void stmt(const StmtNode *S) {
-    if (!S) {
-      ensure(1);
-      u8(0);
-      return;
+  void record(const StmtNode &S) {
+    std::uint32_t Ord = S.Ord;
+    std::uint32_t E = link(Ord, S.E), E2 = link(Ord, S.E2),
+                  E3 = link(Ord, S.E3), S1 = link(Ord, S.S1),
+                  S2 = link(Ord, S.S2);
+    std::uint32_t BodyC = S.BodyC;
+    ensure(MaxRecord + 5 * static_cast<std::size_t>(BodyC));
+    std::uint8_t *P = Cur;
+    P[0] = StmtTag | static_cast<std::uint8_t>(S.Kind);
+    P[1] = S.OpByte;
+    P = putVarint(P + 2, static_cast<std::uint32_t>(S.LocalId) + 1);
+    P = putVarint(P, E);
+    P = putVarint(P, E2);
+    P = putVarint(P, E3);
+    P = putVarint(P, S1);
+    P = putVarint(P, S2);
+    P = putVarint(P, BodyC);
+    for (std::uint32_t I = 0; I < BodyC; ++I)
+      P = putVarint(P, link(Ord, S.BodyV[I]));
+    Cur = P;
+  }
+
+  static std::uint8_t *putVarint(std::uint8_t *P, std::uint32_t V) {
+    while (V >= 0x80) {
+      *P++ = static_cast<std::uint8_t>(V | 0x80);
+      V >>= 7;
     }
-    ensure(7);
-    std::uint8_t Hdr[7];
-    Hdr[0] = 1;
-    Hdr[1] = static_cast<std::uint8_t>(S->Kind);
-    Hdr[2] = S->OpByte;
-    std::uint32_t Local = static_cast<std::uint32_t>(S->LocalId);
-    std::memcpy(Hdr + 3, &Local, 4);
-    raw(Hdr, 7);
-    expr(S->E);
-    expr(S->E2);
-    expr(S->E3);
-    stmt(S->S1);
-    stmt(S->S2);
-    ensure(4);
-    u32(S->BodyC);
-    for (std::uint32_t I = 0; I < S->BodyC; ++I)
-      stmt(S->BodyV[I]);
+    *P++ = static_cast<std::uint8_t>(V);
+    return P;
+  }
+  static std::uint8_t *put64(std::uint8_t *P, std::uint64_t V) {
+    std::memcpy(P, &V, 8);
+    return P + 8;
+  }
+  /// \p V as a byte count and that many low-order bytes: branch-free, and
+  /// canonical because the count is the minimal one.
+  static std::uint8_t *putWord(std::uint8_t *P, std::uint64_t V) {
+    unsigned Len = (static_cast<unsigned>(std::bit_width(V)) + 7) / 8;
+    P[0] = static_cast<std::uint8_t>(Len);
+    std::memcpy(P + 1, &V, 8);
+    return P + 1 + Len;
   }
 
-private:
-  /// First-occurrence ordinal of (Kind, Addr). Linear scan: spec trees
-  /// capture a handful of externals, not hundreds.
+  /// First-occurrence ordinal of (Kind, Addr). Linear scan: specs capture
+  /// a handful of externals, not hundreds.
   std::uint32_t refOrdinal(std::uint8_t Kind, std::uint64_t Addr) {
     for (std::size_t I = 0; I < Refs->size(); ++I)
       if ((*Refs)[I].Kind == Kind && (*Refs)[I].Addr == Addr)
@@ -143,7 +217,7 @@ private:
   }
 
   void grow(std::size_t N) {
-    std::size_t Len = static_cast<std::size_t>(Cur - Out.data());
+    std::size_t Len = size();
     std::size_t Cap = Out.size();
     do
       Cap *= 2;
@@ -154,19 +228,14 @@ private:
   }
 
   std::vector<std::uint8_t> &Out;
+  const Context *Ctx;
   std::vector<ExtRef> *Refs;
   std::uint8_t *Cur = nullptr;
   std::uint8_t *End = nullptr;
 };
 
-/// Hashes the key bytes a word at a time (support/Hash.h — shared with the
-/// snapshot layer so record probes and spec keys agree on one algorithm).
-std::uint64_t hashBytes(const std::vector<std::uint8_t> &Bytes) {
-  return support::hashBytes(Bytes.data(), Bytes.size());
-}
-
 /// The canonical serialization both key flavors share; only the FreeVar /
-/// Call leaf encoding differs (address vs ordinal), decided by whether the
+/// Call payload differs (address vs ordinal), decided by whether the
 /// writer carries a Refs collector.
 void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
                   EvalType RetType, const CompileOptions &Opts) {
@@ -191,7 +260,7 @@ void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
   // Tier-0 profile digest: the per-loop unroll decisions steer code shape,
   // so differently-profiled compiles of one spec must occupy distinct
   // slots (and snapshot records). Unprofiled compiles write a single zero
-  // byte, keeping their keys byte-identical to the pre-profile format.
+  // byte.
   W.u8(Opts.TripProfile != nullptr);
   if (const core::Tier0ProfileSnapshot *TP = Opts.TripProfile) {
     // +8 keeps the trailing flag bytes below inside this check's envelope.
@@ -214,28 +283,48 @@ void writeKeyBody(KeyWriter &W, const Context &Ctx, Stmt Body,
   W.u8(verify::enabled(Opts.Verify) ? 1 : 0);
   W.u8(static_cast<std::uint8_t>(RetType));
 
-  // The vspec table: LocalIds in the tree index into it.
+  // The vspec table: LocalIds in the records index into it.
   const std::vector<LocalInfo> &Locals = Ctx.locals();
-  W.ensure(4 + 5 * Locals.size());
-  W.u32(static_cast<std::uint32_t>(Locals.size()));
+  W.ensure(5 + 6 * Locals.size());
+  W.varint(static_cast<std::uint32_t>(Locals.size()));
   for (const LocalInfo &L : Locals) {
     W.u8(static_cast<std::uint8_t>(L.Type));
-    W.u32(static_cast<std::uint32_t>(L.ArgIndex));
+    W.varint(static_cast<std::uint32_t>(L.ArgIndex) + 1);
   }
 
-  W.stmt(Body.node());
+  W.nodes(Body.node());
 }
+
+struct KeyMetrics {
+  obs::Histogram &Bytes;
+  obs::Counter &Cycles;
+  static KeyMetrics &get() {
+    auto &R = obs::MetricsRegistry::global();
+    static KeyMetrics M{R.histogram(obs::names::HistCacheKeyBytes),
+                        R.counter(obs::names::CacheKeyCycles)};
+    return M;
+  }
+};
 
 } // namespace
 
 SpecKey cache::buildSpecKey(const Context &Ctx, Stmt Body, EvalType RetType,
                             const CompileOptions &Opts) {
-  SpecKey K;
-  KeyWriter W(K.Bytes);
+  obs::TraceSpan Span(obs::SpanKind::SpecFingerprint);
+  std::uint64_t T0 = readCycleCounter();
+  // Serialized into a per-thread scratch buffer; only a cacheable key's
+  // bytes are copied out, once, into the buffer its copies share.
+  static thread_local std::vector<std::uint8_t> Scratch;
+  KeyWriter W(Scratch, Ctx);
   writeKeyBody(W, Ctx, Body, RetType, Opts);
-  W.finish();
+  SpecKey K;
   K.Cacheable = W.Cacheable;
-  K.Hash = hashBytes(K.Bytes);
+  K.Hash = support::hashBytes(Scratch.data(), W.size());
+  if (K.Cacheable)
+    K.Bytes = KeyBytes(Scratch.data(), W.size());
+  KeyMetrics &M = KeyMetrics::get();
+  M.Bytes.record(W.size());
+  M.Cycles.inc(readCycleCounter() - T0);
   return K;
 }
 
@@ -243,10 +332,10 @@ PersistKey cache::buildPersistKey(const Context &Ctx, Stmt Body,
                                   EvalType RetType,
                                   const CompileOptions &Opts) {
   PersistKey K;
-  KeyWriter W(K.Bytes, &K.Refs);
+  KeyWriter W(K.Bytes, Ctx, &K.Refs);
   writeKeyBody(W, Ctx, Body, RetType, Opts);
-  W.finish();
+  K.Bytes.resize(W.size());
   K.Cacheable = W.Cacheable;
-  K.Hash = hashBytes(K.Bytes);
+  K.Hash = support::hashBytes(K.Bytes.data(), K.Bytes.size());
   return K;
 }

@@ -18,6 +18,7 @@ ExprNode *Context::newExpr(ExprKind K, EvalType T) {
   *N = ExprNode{};
   N->Kind = K;
   N->Type = T;
+  N->Ord = NumNodes++;
   N->Ctx = this;
   return N;
 }
@@ -27,6 +28,7 @@ StmtNode *Context::newStmt(StmtKind K) {
       NodeArena.allocate(sizeof(StmtNode), alignof(StmtNode)));
   *N = StmtNode{};
   N->Kind = K;
+  N->Ord = NumNodes++;
   N->Ctx = this;
   return N;
 }

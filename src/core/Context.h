@@ -33,6 +33,7 @@
 #include "core/Nodes.h"
 #include "support/Arena.h"
 
+#include <cstddef>
 #include <initializer_list>
 #include <vector>
 
@@ -230,8 +231,11 @@ public:
 
   // --- Introspection used by the compiler ----------------------------------------------------
   const std::vector<LocalInfo> &locals() const { return Locals; }
+  /// Calls \p Fn on nodes 0..Count-1 in creation order, each as a const
+  /// ExprNode * or a const StmtNode *. Returns false, having stopped early,
+  /// if the arena does not hold them as built (see the definition).
+  template <typename F> bool forEachNode(std::uint32_t Count, F &&Fn) const;
   unsigned numDynLabels() const { return NumDynLabels; }
-  Arena &arena() { return NodeArena; }
   /// Bytes of closure/specification data allocated so far.
   std::size_t closureBytes() const { return NodeArena.bytesAllocated(); }
 
@@ -243,10 +247,60 @@ private:
   /// Inserts promotions so A and B share an arithmetic type; returns it.
   EvalType promote(Expr &A, Expr &B);
 
+  /// Holds nodes and nothing else but each node's own ArgV/BodyV array,
+  /// allocated right after it: forEachNode walks it as the creation log.
   Arena NodeArena;
+  std::uint32_t NumNodes = 0;
   std::vector<LocalInfo> Locals;
   unsigned NumDynLabels = 0;
 };
+
+template <typename F>
+bool Context::forEachNode(std::uint32_t Count, F &&Fn) const {
+  // The arena is the log: nodes sit back to back in creation order, each
+  // followed by its ArgV/BodyV array (in a new slab if the old one was
+  // full). Every node read is checked against its expected ordinal, so a
+  // misparse can only end the walk, never feed Fn a wrong node.
+  std::uint32_t I = 0;
+  const char *Skip = nullptr; ///< The last node's array, still ahead.
+  std::size_t SkipBytes = 0;
+  bool Ok = true;
+  NodeArena.forEachSlab([&](const char *P, const char *End) {
+    while (I < Count && P < End) {
+      if (P == Skip) {
+        P += SkipBytes;
+        Skip = nullptr;
+        continue;
+      }
+      // Allocations are multiples of 8 bytes, so the tag byte is in bounds.
+      bool IsStmt = reinterpret_cast<const unsigned char *>(
+          P)[offsetof(StmtNode, IsStmt)];
+      if (End - P < static_cast<std::ptrdiff_t>(IsStmt ? sizeof(StmtNode)
+                                                       : sizeof(ExprNode)))
+        return Ok = false;
+      if (IsStmt) {
+        const auto *S = reinterpret_cast<const StmtNode *>(P);
+        if (S->Ord != I || S->Ctx != this)
+          return Ok = false;
+        Fn(S);
+        Skip = reinterpret_cast<const char *>(S->BodyV);
+        SkipBytes = S->BodyC * sizeof(StmtNode *);
+        P += sizeof(StmtNode);
+      } else {
+        const auto *E = reinterpret_cast<const ExprNode *>(P);
+        if (E->Ord != I || E->Ctx != this)
+          return Ok = false;
+        Fn(E);
+        Skip = reinterpret_cast<const char *>(E->ArgV);
+        SkipBytes = E->ArgC * sizeof(ExprNode *);
+        P += sizeof(ExprNode);
+      }
+      ++I;
+    }
+    return I < Count;
+  });
+  return Ok && I == Count;
+}
 
 } // namespace core
 } // namespace tcc

@@ -22,6 +22,7 @@
 #include "core/Types.h"
 #include "vcode/VCode.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace tcc {
@@ -86,15 +87,20 @@ enum ExprFlags : std::uint8_t {
                          ///< vspec: it folds only while loops unroll.
 };
 
-/// One expression node. 64 bytes; allocated from the Context's arena (the
+/// One expression node. 88 bytes; allocated from the Context's arena (the
 /// paper's closure arena: "allocation cost is a pointer increment").
 struct ExprNode {
   ExprKind Kind;
   EvalType Type;
   std::uint8_t OpByte = 0;
+  std::uint8_t IsStmt = 0;  ///< At the same offset as StmtNode::IsStmt.
   std::uint8_t RegNeed = 1; ///< Sethi-Ullman-style temporary estimate.
   std::uint8_t Flags = 0;   ///< ExprFlags of the whole subtree.
   std::int32_t LocalId = -1;
+  /// Creation ordinal in the owning Context, shared with StmtNode: the
+  /// factories build children before parents, so a child's Ord is below
+  /// its parent's (cache/SpecKey relies on it).
+  std::uint32_t Ord = 0;
   ExprNode *A = nullptr;
   ExprNode *B = nullptr;
   ExprNode *C = nullptr;
@@ -106,6 +112,7 @@ struct ExprNode {
   std::uint8_t CallFpArgs = 0; ///< #double args (variadic AL protocol).
   Context *Ctx = nullptr;
 };
+static_assert(sizeof(ExprNode) == 88, "IsStmt and Ord live in padding");
 
 enum class StmtKind : std::uint8_t {
   Block,    ///< BodyV/BodyC children.
@@ -135,11 +142,12 @@ enum StmtFlags : std::uint8_t {
                          ///< induction variable or reuses it as one.
 };
 
-/// One statement node.
+/// One statement node. 72 bytes, from the same arena.
 struct StmtNode {
   StmtKind Kind;
   std::uint8_t OpByte = 0;
   std::uint8_t Flags = 0; ///< StmtFlags of the whole subtree.
+  std::uint8_t IsStmt = 1; ///< Tells the two node types apart in the arena.
   std::int32_t LocalId = -1;
   ExprNode *E = nullptr;
   ExprNode *E2 = nullptr;
@@ -148,8 +156,12 @@ struct StmtNode {
   StmtNode *S2 = nullptr;
   StmtNode **BodyV = nullptr;
   std::uint32_t BodyC = 0;
+  std::uint32_t Ord = 0; ///< Creation ordinal (see ExprNode::Ord).
   Context *Ctx = nullptr;
 };
+static_assert(sizeof(StmtNode) == 72, "IsStmt and Ord live in padding");
+static_assert(offsetof(ExprNode, IsStmt) == offsetof(StmtNode, IsStmt),
+              "one tag offset for both node types");
 
 /// Metadata for one dynamic local or parameter (vspec).
 struct LocalInfo {

@@ -86,6 +86,11 @@ inline constexpr char CacheEvictions[] = "cache.evictions";
 inline constexpr char CacheInsertions[] = "cache.insertions";
 inline constexpr char CacheBytesInserted[] = "cache.bytes.inserted";
 inline constexpr char CacheBytesEvicted[] = "cache.bytes.evicted";
+/// Bytes of each SpecKey built (cache/SpecKey.h), and the TSC cycles all
+/// of them took to build: the spec-fingerprint cost every front-door
+/// request pays, hit or miss.
+inline constexpr char HistCacheKeyBytes[] = "cache.key_bytes";
+inline constexpr char CacheKeyCycles[] = "cache.key.cycles";
 
 // Persistent cross-process snapshot cache (src/persist). Hits/misses count
 // probe outcomes on in-memory cache misses; rejects count records refused

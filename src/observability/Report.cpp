@@ -159,6 +159,18 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
             static_cast<unsigned long long>(
                 S.counter(names::CacheBytesInserted) -
                 S.counter(names::CacheBytesEvicted)));
+    if (const HistogramSnapshot *K = S.histogram(names::HistCacheKeyBytes))
+      if (K->Count) {
+        double Cycles = static_cast<double>(S.counter(names::CacheKeyCycles));
+        appendf(Out,
+                "  keys: %llu built, mean %.0f bytes (max %llu); "
+                "spec-fingerprint %.0f cycles per key, %.0f per hit\n",
+                static_cast<unsigned long long>(K->Count),
+                static_cast<double>(K->Sum) / static_cast<double>(K->Count),
+                static_cast<unsigned long long>(K->Max),
+                Cycles / static_cast<double>(K->Count),
+                Hits ? Cycles / static_cast<double>(Hits) : 0.0);
+      }
   }
   // Persistent snapshot cache: warm-start loads are deliberately reported
   // apart from in-memory hits — a load costs a disk probe + relocation

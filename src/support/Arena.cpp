@@ -29,9 +29,18 @@ void Arena::addSlab(std::size_t MinBytes) {
   if (!S)
     reportFatalError("arena slab allocation failed");
   S->Next = Head;
+  S->Newer = nullptr;
   S->Size = Payload;
+  S->Used = 0;
+  if (Head) {
+    Head->Newer = S;
+    Head->Used =
+        static_cast<std::size_t>(Cur - reinterpret_cast<char *>(Head + 1));
+  } else {
+    Oldest = S;
+  }
   Head = S;
-  Cur = reinterpret_cast<char *>(S) + sizeof(Slab);
+  Cur = reinterpret_cast<char *>(S + 1);
   End = Cur + Payload;
   ++NumSlabs;
   ++TotalSystemAllocs;
@@ -56,10 +65,11 @@ void Arena::reset() {
       S = Next;
     }
     Head = nullptr;
+    Oldest = nullptr;
     NumSlabs = 0;
     addSlab(Total);
   } else {
-    Cur = reinterpret_cast<char *>(Head) + sizeof(Slab);
+    Cur = reinterpret_cast<char *>(Head + 1);
     End = Cur + Head->Size;
   }
   BytesAllocated = 0;

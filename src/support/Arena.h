@@ -101,12 +101,26 @@ public:
   /// lifetime. Steady-state pooled compiles must not move this.
   std::uint64_t systemAllocs() const { return TotalSystemAllocs; }
 
+  /// Calls \p Fn(Begin, End) on the bytes handed out from each slab, oldest
+  /// slab first — allocation order — until \p Fn returns false. The tail a
+  /// slab could not fit is left out, but alignment padding between
+  /// allocations is not.
+  template <typename F> void forEachSlab(F &&Fn) const {
+    for (const Slab *S = Oldest; S; S = S->Newer) {
+      const char *Begin = reinterpret_cast<const char *>(S + 1);
+      if (!Fn(Begin, S == Head ? Cur : Begin + S->Used))
+        return;
+    }
+  }
+
 private:
   static constexpr std::size_t DefaultSlabBytes = 64 * 1024;
 
   struct Slab {
-    Slab *Next;
+    Slab *Next;  ///< The next older slab.
+    Slab *Newer; ///< The next newer slab.
     std::size_t Size;
+    std::size_t Used; ///< Bytes handed out, once a newer slab took over.
     // Payload follows the header.
   };
 
@@ -114,7 +128,8 @@ private:
   /// Slow path of allocate(): the current slab cannot fit the request.
   void *allocateInNewSlab(std::size_t Bytes, std::size_t Align);
 
-  Slab *Head = nullptr;
+  Slab *Head = nullptr; ///< Newest slab: the one Cur bumps through.
+  Slab *Oldest = nullptr;
   char *Cur = nullptr;
   char *End = nullptr;
   std::size_t SlabBytes;

@@ -32,27 +32,29 @@ std::uint64_t support::cpuFeatureBits() {
 #endif
 }
 
-std::uint64_t support::buildFingerprint() {
-  static const std::uint64_t FP = [] {
-    std::uint64_t H = hashMix64(SnapshotFormatVersion);
-    const char *Version = __VERSION__;
-    H = hashBytes(Version, std::strlen(Version), H);
+std::uint64_t support::formatFingerprint(std::uint32_t Version) {
+  std::uint64_t H = hashMix64(Version);
+  const char *Compiler = __VERSION__;
+  H = hashBytes(Compiler, std::strlen(Compiler), H);
 #ifdef TICKC_BUILD_FLAGS
-    const char *Flags = TICKC_BUILD_FLAGS;
-    H = hashBytes(Flags, std::strlen(Flags), H);
+  const char *Flags = TICKC_BUILD_FLAGS;
+  H = hashBytes(Flags, std::strlen(Flags), H);
 #endif
-    std::uint64_t Abi[] = {
-        sizeof(void *),
-        sizeof(long),
-        __cplusplus,
+  std::uint64_t Abi[] = {
+      sizeof(void *),
+      sizeof(long),
+      __cplusplus,
 #ifdef NDEBUG
-        1,
+      1,
 #else
-        0,
+      0,
 #endif
-        cpuFeatureBits(),
-    };
-    return hashBytes(Abi, sizeof Abi, H);
-  }();
+      cpuFeatureBits(),
+  };
+  return hashBytes(Abi, sizeof Abi, H);
+}
+
+std::uint64_t support::buildFingerprint() {
+  static const std::uint64_t FP = formatFingerprint(SnapshotFormatVersion);
   return FP;
 }

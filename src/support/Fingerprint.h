@@ -31,11 +31,17 @@
 namespace tcc {
 namespace support {
 
-/// Bumped on any persisted-format or relocation-scheme change.
-inline constexpr std::uint32_t SnapshotFormatVersion = 1;
+/// Bumped on any persisted-format, relocation-scheme, record-hash or
+/// PersistKey-encoding change. 2: four-lane hashBytes, creation-order keys.
+inline constexpr std::uint32_t SnapshotFormatVersion = 2;
 
-/// The process-wide build/ISA fingerprint (computed once, then cached).
+/// The process-wide build/ISA fingerprint (computed once, then cached):
+/// formatFingerprint(SnapshotFormatVersion).
 std::uint64_t buildFingerprint();
+
+/// The fingerprint this build would stamp if it wrote snapshot format
+/// \p Version — how tests forge a file from an older format.
+std::uint64_t formatFingerprint(std::uint32_t Version);
 
 /// The raw CPUID-derived feature word folded into buildFingerprint() —
 /// exposed so tests can prove a feature-bit flip changes the fingerprint.

@@ -255,7 +255,10 @@ private:
   core::EvalType RetType = core::EvalType::Int;
   core::CompileOptions PromoteOpts;
   core::CompileOptions BaselineOpts; ///< The background baseline compile.
-  cache::SpecKey BaselineKey; ///< !Cacheable skips the residency check.
+  /// Shares its bytes with the Slots entry and the cache entry. When
+  /// !Cacheable it holds only the hash (the symbol name), and the
+  /// residency check is skipped.
+  cache::SpecKey BaselineKey;
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Tier-0 machinery, set only when the slot was created interpreted.
   /// Interp is never destroyed before the slot: a caller racing the

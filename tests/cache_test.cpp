@@ -130,6 +130,210 @@ TEST(SpecKey, RtEvalOverPureConstantsIsCacheable) {
   EXPECT_TRUE(K.Cacheable);
 }
 
+// --- Key exactness ------------------------------------------------------------
+//
+// The key is one pass over the Context's nodes in creation order (SpecKey.h):
+// equal bytes must mean equal code, whatever else the Context holds.
+
+/// A spec touching every payload kind: a `$` int, a `$` double, a free
+/// variable, a callee address, a loop and a local of type \p LocalT.
+int addOne(int V) { return V + 1; }
+int CellA = 5, CellB = 5;
+
+struct KeyParts {
+  int Rc = 7;
+  const int *Cell = &CellA;
+  EvalType LocalT = EvalType::Int;
+};
+
+Stmt buildRich(Context &C, const KeyParts &P) {
+  VSpec X = C.paramInt(0);
+  VSpec I = C.localInt();
+  VSpec Acc = P.LocalT == EvalType::Long ? C.localLong() : C.localInt();
+  Expr Step = C.toInt(C.doubleConst(2.0) * C.toDouble(Expr(I)));
+  return C.block({
+      C.assign(Acc, C.intConst(0)),
+      C.forStmt(I, C.intConst(0), vcode::CmpKind::LtS, C.rcInt(4),
+                C.intConst(1), C.assign(Acc, Expr(Acc) + C.toLong(Step))),
+      C.ret(C.toInt(Expr(Acc)) + Expr(X) * C.rcInt(P.Rc) + C.fvInt(P.Cell) +
+            C.callC(reinterpret_cast<const void *>(&addOne), EvalType::Int,
+                    {Expr(X)})),
+  });
+}
+
+SpecKey richKey(const KeyParts &P, const CompileOptions &O = {}) {
+  Context C;
+  return buildSpecKey(C, buildRich(C, P), EvalType::Int, O);
+}
+
+int richRef(int X, const KeyParts &P) {
+  return 12 + X * P.Rc + *P.Cell + addOne(X);
+}
+
+TEST(SpecKeyExact, SameSpecInTwoContextsIsOneKeyAndOneEntry) {
+  KeyParts P;
+  SpecKey A = richKey(P), B = richKey(P);
+  EXPECT_TRUE(A.Cacheable);
+  EXPECT_TRUE(A == B);
+  EXPECT_GT(A.Bytes.size(), 0u);
+
+  CompileService S;
+  Context C1, C2;
+  FnHandle F1 = S.getOrCompile(C1, buildRich(C1, P), EvalType::Int);
+  FnHandle F2 = S.getOrCompile(C2, buildRich(C2, P), EvalType::Int);
+  EXPECT_EQ(F1.get(), F2.get());
+  EXPECT_EQ(S.cache().stats().Hits, 1u);
+  EXPECT_EQ(F1->as<int(int)>()(3), richRef(3, P));
+}
+
+TEST(SpecKeyExact, EachIdentityFieldChangesTheKey) {
+  KeyParts Base;
+  SpecKey K = richKey(Base);
+  KeyParts Rc = Base;
+  Rc.Rc = 8;
+  KeyParts Cell = Base;
+  Cell.Cell = &CellB; // Same value, different address.
+  KeyParts Local = Base;
+  Local.LocalT = EvalType::Long;
+  CompileOptions Unroll;
+  Unroll.UnrollLimit = 1;
+  EXPECT_FALSE(K == richKey(Rc)) << "$ value";
+  EXPECT_FALSE(K == richKey(Cell)) << "free-variable address";
+  EXPECT_FALSE(K == richKey(Local)) << "local type";
+  EXPECT_FALSE(K == richKey(Base, Unroll)) << "option";
+}
+
+TEST(SpecKeyExact, EarlierUnrelatedNodesNeverAliasAnotherSpec) {
+  CompileService S;
+  // The cache holds x + 3, built alone.
+  {
+    Context C;
+    VSpec X = C.paramInt(0);
+    EXPECT_EQ(S.getOrCompile(C, C.ret(Expr(X) + C.rcInt(3)), EvalType::Int)
+                  ->as<int(int)>()(1),
+              4);
+  }
+  // x + 4, built after an unrelated x + 3 in the same Context, must get
+  // its own entry: the unrelated nodes are in the key, and so is the root.
+  Context C;
+  VSpec X = C.paramInt(0);
+  Stmt Unrelated = C.ret(Expr(X) + C.rcInt(3));
+  (void)Unrelated;
+  Stmt Body = C.ret(Expr(X) + C.rcInt(4));
+  SpecKey K = buildSpecKey(C, Body, EvalType::Int, CompileOptions());
+  Context Fresh;
+  VSpec FX = Fresh.paramInt(0);
+  EXPECT_FALSE(K == buildSpecKey(Fresh, Fresh.ret(Expr(FX) + Fresh.rcInt(3)),
+                                 EvalType::Int, CompileOptions()));
+  FnHandle F = S.getOrCompile(C, Body, EvalType::Int);
+  EXPECT_EQ(F->as<int(int)>()(1), 5);
+  // And the unrelated root itself, keyed over the shorter prefix, is the
+  // entry the fresh build made.
+  EXPECT_EQ(S.getOrCompile(C, Unrelated, EvalType::Int)->as<int(int)>()(1), 4);
+  EXPECT_EQ(S.cache().stats().Hits, 1u);
+}
+
+TEST(SpecKeyExact, SharedAndRebuiltSubtreesBothRun) {
+  CompileService S;
+  Context C1;
+  VSpec X1 = C1.paramInt(0);
+  Expr Sub = Expr(X1) * C1.rcInt(3) + C1.intConst(1);
+  Stmt Shared = C1.ret(Sub + Sub);
+  Context C2;
+  VSpec X2 = C2.paramInt(0);
+  Stmt Twice = C2.ret((Expr(X2) * C2.rcInt(3) + C2.intConst(1)) +
+                      (Expr(X2) * C2.rcInt(3) + C2.intConst(1)));
+  FnHandle A = S.getOrCompile(C1, Shared, EvalType::Int);
+  FnHandle B = S.getOrCompile(C2, Twice, EvalType::Int);
+  EXPECT_EQ(A->as<int(int)>()(5), 32);
+  EXPECT_EQ(B->as<int(int)>()(5), 32);
+}
+
+TEST(SpecKeyExact, KeyWalksNodesAcrossSlabsAndArrays) {
+  // The key reads the nodes straight out of the Context's arena. Thousands
+  // of statements span many slabs, a 9,000-entry block body outgrows one,
+  // and call argument arrays sit between nodes: the spec must still key
+  // exactly, the same in every Context.
+  auto Build = [](Context &C) {
+    VSpec X = C.paramInt(0);
+    VSpec Acc = C.localInt();
+    std::vector<Stmt> Body{C.assign(Acc, Expr(X))};
+    for (int I = 0; I < 9000; ++I) {
+      Expr V = I % 97 ? C.rcInt(I % 7)
+                      : C.callC(reinterpret_cast<const void *>(&addOne),
+                                EvalType::Int, {C.rcInt(I % 5)});
+      Body.push_back(C.assign(Acc, Expr(Acc) + V));
+    }
+    Body.push_back(C.ret(Expr(Acc)));
+    return C.block(Body);
+  };
+  Context C1, C2;
+  Stmt B1 = Build(C1), B2 = Build(C2);
+  SpecKey K1 = buildSpecKey(C1, B1, EvalType::Int, CompileOptions());
+  EXPECT_TRUE(K1.Cacheable);
+  EXPECT_TRUE(K1 == buildSpecKey(C2, B2, EvalType::Int, CompileOptions()));
+  CompileService S;
+  FnHandle F = S.getOrCompile(C1, B1, EvalType::Int);
+  EXPECT_EQ(S.getOrCompile(C2, B2, EvalType::Int).get(), F.get());
+  int Want = 10;
+  for (int I = 0; I < 9000; ++I)
+    Want += I % 97 ? I % 7 : I % 5 + 1;
+  EXPECT_EQ(F->as<int(int)>()(10), Want);
+}
+
+TEST(SpecKeyExact, RewiredArgumentArrayIsUncacheable) {
+  // The key walks the arena, skipping each node's own argument array. A
+  // Call pointed at another array leaves its original one unskipped: the
+  // walk must detect the misparse and give up, not key garbage.
+  CompileService S;
+  Context C;
+  VSpec X = C.paramInt(0);
+  Expr Call = C.callC(reinterpret_cast<const void *>(&addOne), EvalType::Int,
+                      {Expr(X)});
+  Stmt Body = C.ret(Call);
+  ExprNode *Moved[1] = {Call.node()->ArgV[0]};
+  Call.node()->ArgV = Moved;
+  EXPECT_FALSE(buildSpecKey(C, Body, EvalType::Int, CompileOptions()).Cacheable);
+  EXPECT_EQ(S.getOrCompile(C, Body, EvalType::Int)->as<int(int)>()(4), 5);
+}
+
+TEST(SpecKeyExact, MemReadingRtEvalKeepsNoBytes) {
+  static int Cell = 41;
+  Context C;
+  Stmt Body = C.ret(C.rtEval(C.loadMem(MemType::I32, C.rcPtr(&Cell))));
+  SpecKey K = buildSpecKey(C, Body, EvalType::Int, CompileOptions());
+  EXPECT_FALSE(K.Cacheable);
+  EXPECT_EQ(K.Bytes.size(), 0u); // Only the hash (the symbol name) is kept.
+  EXPECT_NE(K.Hash, 0u);
+}
+
+TEST(SpecKeyExact, ChildNotOlderThanParentIsUncacheable) {
+  // Rewire a finished node to a child built after it: the creation-order
+  // form cannot describe that link, so the spec must always compile.
+  CompileService S;
+  Context C;
+  VSpec X = C.paramInt(0);
+  Stmt Body = C.ret(C.intConst(1));
+  Expr Late = Expr(X) + C.rcInt(2);
+  Body.node()->E = Late.node();
+  SpecKey K = buildSpecKey(C, Body, EvalType::Int, CompileOptions());
+  EXPECT_FALSE(K.Cacheable);
+  FnHandle F = S.getOrCompile(C, Body, EvalType::Int);
+  EXPECT_EQ(F->as<int(int)>()(5), 7);
+  EXPECT_EQ(S.cache().stats().Insertions, 0u);
+
+  // A child from another Context has no ordinal in this one either (a
+  // fresh Context, so the rewired Body above is not in this key).
+  Context C2, Other;
+  VSpec X2 = C2.paramInt(0);
+  Stmt Foreign = C2.ret(Expr(X2) + C2.intConst(0));
+  EXPECT_TRUE(
+      buildSpecKey(C2, Foreign, EvalType::Int, CompileOptions()).Cacheable);
+  Foreign.node()->E = Other.intConst(9).node();
+  EXPECT_FALSE(
+      buildSpecKey(C2, Foreign, EvalType::Int, CompileOptions()).Cacheable);
+}
+
 // --- Hit/miss identity ------------------------------------------------------
 
 TEST(CompileService, SameSpecSameConstantsHitsIdenticalEntry) {

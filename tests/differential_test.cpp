@@ -209,10 +209,30 @@ TEST(Differential, AllConfigurationsAgree) {
   const std::pair<int, int> Inputs[] = {
       {0, 0}, {1, -1}, {17, 5}, {-100, 99}, {12345, -777}};
   for (int Trial = 0; Trial < 60; ++Trial) {
+    std::mt19937 Replay = Rng;
     Context C;
     ProgramGen Gen(C, Rng);
     Stmt Body = Gen.build(3);
     Stmt Fn = C.block({Body, C.ret(Gen.checksum())});
+
+    // The same program rebuilt in a fresh Context is the same cache and
+    // snapshot identity: both keys are exact over creation order.
+    {
+      Context RC;
+      ProgramGen RGen(RC, Replay);
+      Stmt RBody = RGen.build(3);
+      Stmt RFn = RC.block({RBody, RC.ret(RGen.checksum())});
+      CompileOptions O;
+      cache::SpecKey K = cache::buildSpecKey(C, Fn, EvalType::Int, O);
+      EXPECT_TRUE(K.Cacheable) << "trial " << Trial;
+      EXPECT_TRUE(K == cache::buildSpecKey(RC, RFn, EvalType::Int, O))
+          << "trial " << Trial;
+      cache::PersistKey P = cache::buildPersistKey(C, Fn, EvalType::Int, O);
+      cache::PersistKey RP =
+          cache::buildPersistKey(RC, RFn, EvalType::Int, O);
+      EXPECT_EQ(P.Bytes, RP.Bytes) << "trial " << Trial;
+      EXPECT_EQ(P.Hash, RP.Hash) << "trial " << Trial;
+    }
 
     struct Config {
       const char *Name;

@@ -525,6 +525,29 @@ TEST(PipelineMetrics, CacheCountersMirrorIntoRegistry) {
             Before.counter(obs::names::CacheBytesInserted));
 }
 
+TEST(PipelineMetrics, KeySizeAndCyclesReachTheReport) {
+  obs::MetricsSnapshot Before = obs::MetricsRegistry::global().snapshot();
+  apps::PowerApp Power(9);
+  cache::SpecKey K = Power.cacheKey();
+  cache::CompileService Service;
+  (void)Power.specializeCached(Service);
+  (void)Power.specializeCached(Service);
+  obs::MetricsSnapshot After = obs::MetricsRegistry::global().snapshot();
+  const obs::HistogramSnapshot *H0 =
+      Before.histogram(obs::names::HistCacheKeyBytes);
+  const obs::HistogramSnapshot *H1 =
+      After.histogram(obs::names::HistCacheKeyBytes);
+  ASSERT_NE(H1, nullptr);
+  // One key per cacheKey() and per getOrCompile(), each of K's size.
+  EXPECT_EQ(H1->Count - (H0 ? H0->Count : 0), 3u);
+  EXPECT_EQ(H1->Sum - (H0 ? H0->Sum : 0), 3 * K.Bytes.size());
+  EXPECT_GT(After.counter(obs::names::CacheKeyCycles),
+            Before.counter(obs::names::CacheKeyCycles));
+  std::string R = obs::renderReport(After);
+  EXPECT_NE(R.find("keys: "), std::string::npos) << R;
+  EXPECT_NE(R.find("spec-fingerprint"), std::string::npos) << R;
+}
+
 TEST(PipelineMetrics, ReportRendersNonTrivially) {
   Context C;
   VSpec X = C.paramInt(0);

@@ -204,6 +204,40 @@ TEST(PersistKey, AddressIndependentAcrossMovedFreeVars) {
   EXPECT_FALSE(SA == SB);
 }
 
+TEST(PersistKey, RebuiltSpecMatchesWithRefsInCreationOrder) {
+  // Two free variables, captured in creation order (B before A): the same
+  // build in a fresh Context gives the same bytes and the same ref order,
+  // the pairing the loader's relocation patching relies on.
+  static int CellA = 1, CellB = 2;
+  auto Build = [](Context &C) {
+    VSpec X = C.paramInt(0);
+    Expr B = C.fvInt(&CellB);
+    Expr A = C.fvInt(&CellA);
+    return C.ret(Expr(X) + A + B + A);
+  };
+  Context C1, C2;
+  Stmt B1 = Build(C1), B2 = Build(C2);
+  cache::PersistKey K1 = buildPersistKey(C1, B1, EvalType::Int, {});
+  cache::PersistKey K2 = buildPersistKey(C2, B2, EvalType::Int, {});
+  EXPECT_EQ(K1.Bytes, K2.Bytes);
+  EXPECT_EQ(K1.Hash, K2.Hash);
+  ASSERT_EQ(K1.Refs.size(), 2u);
+  EXPECT_EQ(K1.Refs[0].Addr, reinterpret_cast<std::uint64_t>(&CellB));
+  EXPECT_EQ(K1.Refs[1].Addr, reinterpret_cast<std::uint64_t>(&CellA));
+  EXPECT_TRUE(K1.Refs == K2.Refs);
+  EXPECT_TRUE(buildSpecKey(C1, B1, EvalType::Int, {}) ==
+              buildSpecKey(C2, B2, EvalType::Int, {}));
+
+  // Capturing the cells in the other order reorders the refs.
+  Context C3;
+  VSpec X3 = C3.paramInt(0);
+  Expr A3 = C3.fvInt(&CellA);
+  Expr B3 = C3.fvInt(&CellB);
+  Stmt Swapped = C3.ret(Expr(X3) + A3 + B3 + A3);
+  EXPECT_NE(buildPersistKey(C3, Swapped, EvalType::Int, {}).Refs[0].Addr,
+            K1.Refs[0].Addr);
+}
+
 // --- Save / load round trips ------------------------------------------------
 
 TEST(Snapshot, RoundTripAllBackendsOnFig7Workloads) {
@@ -353,6 +387,32 @@ TEST(Snapshot, WrongFingerprintRejectedNotFatal) {
   EXPECT_FALSE(H->fromSnapshot());
   EXPECT_EQ(H->as<int(int)>()(1), 5);
   EXPECT_EQ(S2.snapshot()->stats().Saves, 1u); // Re-seeded for the next run.
+}
+
+TEST(Snapshot, PreviousFormatVersionRejectedByHeaderNotAsCorrupt) {
+  // A file stamped by the previous snapshot format (another record hash,
+  // another PersistKey encoding) is one counted reject of the whole file at
+  // open: its records are never checksummed, probed or truncated as torn.
+  static int Cell = 4;
+  TempDir Dir;
+  {
+    CompileService S1(snapConfig(Dir));
+    (void)compileCell(S1, &Cell);
+  }
+  std::uint64_t Old =
+      support::formatFingerprint(support::SnapshotFormatVersion - 1);
+  ASSERT_NE(Old, support::buildFingerprint());
+  int Fd = ::open(Dir.file().c_str(), O_RDWR);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(::pwrite(Fd, &Old, 8, 8), 8);
+  ::close(Fd);
+  CompileService S2(snapConfig(Dir));
+  ASSERT_NE(S2.snapshot(), nullptr);
+  EXPECT_EQ(S2.snapshot()->stats().Rejects, 1u);
+  EXPECT_EQ(S2.snapshot()->recordCount(), 0u);
+  FnHandle H = compileCell(S2, &Cell);
+  EXPECT_FALSE(H->fromSnapshot());
+  EXPECT_EQ(H->as<int(int)>()(1), 5);
 }
 
 TEST(Snapshot, CorruptedRecordDroppedByChecksum) {

@@ -48,6 +48,42 @@ TEST(Arena, GrowsPastSlabSize) {
   EXPECT_GE(A.slabCount(), 2u);
 }
 
+TEST(Arena, ForEachSlabVisitsAllocationsInOrder) {
+  // Words numbered in allocation order across slab switches, slab tails
+  // too small for the next block, and one block bigger than a slab: the
+  // slab walk must see exactly those words, in that order.
+  Arena A(/*SlabBytes=*/1024);
+  std::uint64_t Next = 0;
+  for (std::size_t Words : {5u, 60u, 100u, 7u, 300u, 1u, 120u, 120u, 33u}) {
+    auto *P = A.allocateArray<std::uint64_t>(Words);
+    for (std::size_t I = 0; I < Words; ++I)
+      P[I] = Next++;
+  }
+  ASSERT_GE(A.slabCount(), 3u);
+  std::uint64_t Seen = 0;
+  A.forEachSlab([&](const char *B, const char *E) {
+    EXPECT_EQ((E - B) % 8, 0);
+    for (; B < E; B += 8) {
+      std::uint64_t W;
+      std::memcpy(&W, B, 8);
+      EXPECT_EQ(W, Seen++);
+    }
+    return true;
+  });
+  EXPECT_EQ(Seen, Next);
+
+  // After a coalescing reset the one remaining slab is walked alone.
+  A.reset();
+  *A.allocateArray<std::uint64_t>(1) = 42;
+  unsigned Slabs = 0;
+  A.forEachSlab([&](const char *B, const char *E) {
+    ++Slabs;
+    EXPECT_EQ(E - B, 8);
+    return true;
+  });
+  EXPECT_EQ(Slabs, 1u);
+}
+
 TEST(Arena, FastPathIsPointerBump) {
   Arena A(/*SlabBytes=*/1 << 20);
   std::size_t SlabsBefore = A.slabCount();
