@@ -8,10 +8,13 @@ using namespace tcc;
 using namespace tcc::apps;
 using namespace tcc::core;
 
+// Unsigned arithmetic: large powers wrap instead of overflowing int, which
+// would be undefined. Both levels compile to the same instructions as with
+// int.
 #define TICKC_POW_BODY                                                         \
   {                                                                            \
-    int R = 1;                                                                 \
-    int B = X;                                                                 \
+    unsigned R = 1;                                                            \
+    unsigned B = static_cast<unsigned>(X);                                     \
     unsigned E = N;                                                            \
     while (E) {                                                                \
       if (E & 1)                                                               \
@@ -19,7 +22,7 @@ using namespace tcc::core;
       B = B * B;                                                               \
       E >>= 1;                                                                 \
     }                                                                          \
-    return R;                                                                  \
+    return static_cast<int>(R);                                                \
   }
 
 TICKC_STATIC_O0 static int powO0(int X, unsigned N) TICKC_POW_BODY

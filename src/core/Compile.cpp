@@ -1580,6 +1580,7 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   }
   obs::TraceSpan TotalSpan(obs::SpanKind::CompileTotal);
   CompiledFn F;
+  F.Stats.Backend = Opts.Backend;
   if (Opts.Profile)
     F.Prof = obs::ProfileRegistry::global().create(
         Opts.ProfileName ? Opts.ProfileName : "");
@@ -1776,8 +1777,9 @@ CompiledFn core::compileFn(Context &Ctx, Stmt Body, EvalType RetType,
   }
   // Register the finalized region so the sampler, the flight recorder, and
   // external perf can symbolize its PCs. The handle retires in ~CompiledFn
-  // (declared after Region/Prof), which the tier manager only runs after
-  // the dispatch epoch drains — retirement is epoch-consistent for free.
+  // (declared after Region/Prof), which runs only when the last handle
+  // drops; a dispatch slot holds every tier it installed for its whole
+  // life, so no slot caller can still be executing the region.
   if (F.Entry && F.Stats.CodeBytes)
     F.Sym = obs::RuntimeSymbolTable::global().registerRegion(
         F.Entry, F.Stats.CodeBytes, SymName,
@@ -1796,6 +1798,7 @@ CompiledFn core::adoptLoadedCode(LoadedCode &&L) {
   F.FromSnapshot = true;
   F.Stats.CodeBytes = L.CodeBytes;
   F.Stats.MachineInstrs = L.MachineInstrs;
+  F.Stats.Backend = L.Backend;
   // Compile-phase cycles stay zero: nothing was compiled here, and a loaded
   // function reporting a walk cost would corrupt the paper's per-phase
   // tables. The snapshot layer accounts load latency separately

@@ -127,6 +127,9 @@ struct DynStats {
   icode::CompileStats ICode;     ///< Per-phase ICODE costs (ICode backend).
   unsigned MachineInstrs = 0;
   std::size_t CodeBytes = 0;
+  /// The back end that generated the code; for a snapshot load, the one
+  /// that compiled the record.
+  BackendKind Backend = BackendKind::VCode;
 };
 
 /// An instantiated dynamic function: owns its executable region. When the
@@ -193,6 +196,8 @@ struct LoadedCode {
   std::shared_ptr<obs::ProfileEntry> Prof;
   /// Runtime symbol name (copied; may be null for a generic label).
   const char *SymbolName = nullptr;
+  /// The back end that compiled the stored record.
+  BackendKind Backend = BackendKind::VCode;
 };
 
 /// Finalizes a loaded region (W^X flip + icache discipline) and wraps it in

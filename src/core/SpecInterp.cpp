@@ -12,6 +12,7 @@
 
 #include "core/SpecInterp.h"
 
+#include <algorithm>
 #include <cassert>
 #include <csignal>
 #include <cstring>
@@ -80,75 +81,13 @@ bool callSigSupported(unsigned NI, unsigned ND) {
   return NI <= 6 && ND == 0;
 }
 
-bool exprInterpretable(const ExprNode *N) {
-  if (!N)
-    return true;
-  if (N->Kind == ExprKind::Call) {
-    unsigned NI = 0, ND = 0;
-    for (std::uint32_t I = 0; I < N->ArgC; ++I) {
-      if (!exprInterpretable(N->ArgV[I]))
-        return false;
-      if (N->ArgV[I]->Type == EvalType::Double)
-        ++ND;
-      else
-        ++NI;
-    }
-    if (!callSigSupported(NI, ND))
-      return false;
-    return N->PtrVal != nullptr || exprInterpretable(N->A);
-  }
-  if (!exprInterpretable(N->A) || !exprInterpretable(N->B) ||
-      !exprInterpretable(N->C))
-    return false;
-  for (std::uint32_t I = 0; I < N->ArgC; ++I)
-    if (!exprInterpretable(N->ArgV[I]))
-      return false;
-  return true;
-}
-
-bool stmtInterpretable(const StmtNode *S, const Context &Ctx) {
-  if (!S)
-    return true;
-  switch (S->Kind) {
-  case StmtKind::LabelDef:
-  case StmtKind::Goto:
-    // Dynamic labels need a flattened control-flow representation the
-    // tree walk does not have; such specs take the synchronous baseline.
-    return false;
-  case StmtKind::For:
-    if (Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type ==
-        EvalType::Double)
-      return false;
-    break;
-  default:
-    break;
-  }
-  if (!exprInterpretable(S->E) || !exprInterpretable(S->E2) ||
-      !exprInterpretable(S->E3))
-    return false;
-  if (!stmtInterpretable(S->S1, Ctx) || !stmtInterpretable(S->S2, Ctx))
-    return false;
-  for (std::uint32_t I = 0; I < S->BodyC; ++I)
-    if (!stmtInterpretable(S->BodyV[I], Ctx))
-      return false;
-  return true;
-}
-
 } // namespace
 
-bool core::specInterpretable(const Context &Ctx, Stmt Body, EvalType) {
-  if (!Body.valid())
-    return false;
-  if (Ctx.locals().size() > SpecInterp::MaxLocals)
-    return false;
-  for (const LocalInfo &L : Ctx.locals())
-    if (L.ArgIndex >= 0) {
-      // Marshalling range: the SysV integer-class registers (6) and the
-      // tier wrapper's double buffer (8).
-      if (L.Type == EvalType::Double ? L.ArgIndex >= 8 : L.ArgIndex >= 6)
-        return false;
-    }
-  return stmtInterpretable(Body.node(), Ctx);
+bool core::specInterpretable(const Context &Ctx, Stmt Body,
+                             EvalType RetType) {
+  // The interpreter's construction walk is the check (no profile: no
+  // ordinal index is built).
+  return SpecInterp(Ctx, Body, RetType).ok();
 }
 
 Tier0ProfileSnapshot core::snapshotTier0(const Tier0Profile &P) {
@@ -227,6 +166,10 @@ void SpecInterp::indexTree() {
           {static_cast<std::int32_t>(I), L.ArgIndex, L.Type});
     }
   }
+  // Every reachable node was created in Ctx before the root, so its Ord
+  // indexes Slot (indexStmt/indexExpr reject any other node).
+  if (Prof)
+    Slot.assign(static_cast<std::size_t>(Root->Ord) + 1, Unvisited);
   std::vector<const StmtNode *> ForStack;
   indexStmt(Root, ForStack);
   if (Prof) {
@@ -242,10 +185,25 @@ void SpecInterp::indexTree() {
   }
 }
 
+static_assert(Tier0Profile::MaxLoops < 0xFE &&
+                  Tier0Profile::MaxBranches < 0xFE &&
+                  Tier0Profile::MaxRtConsts < 0xFE,
+              "slot sentinels lie past every profile capacity");
+
+void SpecInterp::assignSlot(std::uint32_t Ord, unsigned Counter,
+                            unsigned Max) {
+  if (Prof && Slot[Ord] == Unvisited)
+    Slot[Ord] = Counter < Max ? static_cast<std::uint8_t>(Counter) : Full;
+}
+
 void SpecInterp::indexStmt(const StmtNode *S,
                            std::vector<const StmtNode *> &ForStack) {
   if (!S || !Ok)
     return;
+  if (S->Ctx != Ctx || S->Ord > Root->Ord) {
+    Ok = false; // Not from this spec's Context: no slot in the index.
+    return;
+  }
   // Pre-order, counting every visit (shared subtrees revisit) but mapping
   // each node to its first-visit ordinal — the numbering the compiler's
   // Walker re-derives (collectForVisits in Compile.cpp). The two
@@ -257,13 +215,11 @@ void SpecInterp::indexStmt(const StmtNode *S,
       Ok = false; // No floating-point induction variables.
       return;
     }
-    LoopOrd.emplace(S, LoopCounter); // No-op when already mapped.
-    ++LoopCounter;
+    assignSlot(S->Ord, LoopCounter++, Tier0Profile::MaxLoops);
     ForStack.push_back(S);
     PushedFor = true;
   } else if (S->Kind == StmtKind::If) {
-    BranchOrd.emplace(S, BranchCounter);
-    ++BranchCounter;
+    assignSlot(S->Ord, BranchCounter++, Tier0Profile::MaxBranches);
   } else if (S->Kind == StmtKind::LabelDef || S->Kind == StmtKind::Goto) {
     // Dynamic labels need a flattened control-flow representation the
     // tree walk does not have; such specs take the synchronous baseline.
@@ -285,6 +241,10 @@ void SpecInterp::indexExpr(const ExprNode *N,
                            std::vector<const StmtNode *> &ForStack) {
   if (!N || !Ok)
     return;
+  if (N->Ctx != Ctx || N->Ord > Root->Ord) {
+    Ok = false;
+    return;
+  }
   if (N->Kind == ExprKind::Call) {
     unsigned NI = 0, ND = 0;
     for (std::uint32_t I = 0; I < N->ArgC; ++I) {
@@ -299,17 +259,14 @@ void SpecInterp::indexExpr(const ExprNode *N,
     }
   }
   if (N->Kind == ExprKind::RtEval) {
-    RtOrd.emplace(N, RtCounter);
-    ++RtCounter;
+    assignSlot(N->Ord, RtCounter++, Tier0Profile::MaxRtConsts);
     if (Prof && (N->Flags & EF_HasLocal)) {
       // A `$`-expression over a vspec folds only when the loops binding
       // that vspec unroll: every enclosing For must keep unrolling, so
       // the profile snapshot may never decide to roll one of them.
-      for (const StmtNode *F : ForStack) {
-        auto It = LoopOrd.find(F);
-        if (It != LoopOrd.end() && It->second < Tier0Profile::MaxLoops)
-          Prof->FoldCritical[It->second] = true;
-      }
+      for (const StmtNode *F : ForStack)
+        if (unsigned O = Slot[F->Ord]; O < Tier0Profile::MaxLoops)
+          Prof->FoldCritical[O] = true;
     }
   }
   indexExpr(N->A, ForStack);
@@ -449,9 +406,7 @@ SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
   case ExprKind::RtEval: {
     Val V = evalExpr(N->A, F);
     if (Prof) {
-      auto It = RtOrd.find(N);
-      if (It != RtOrd.end() && It->second < Tier0Profile::MaxRtConsts) {
-        unsigned O = It->second;
+      if (unsigned O = Slot[N->Ord]; O < Tier0Profile::MaxRtConsts) {
         std::uint64_t H;
         if (N->Type == EvalType::Double)
           std::memcpy(&H, &V.D, 8);
@@ -734,9 +689,8 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     Val C = evalExpr(S->E, F);
     bool Taken = valTruthy(C.I, C.D, S->E->Type);
     if (Prof) {
-      auto It = BranchOrd.find(S);
-      if (It != BranchOrd.end() && It->second < Tier0Profile::MaxBranches) {
-        Tier0Profile::BranchStat &BS = Prof->Branches[It->second];
+      if (unsigned O = Slot[S->Ord]; O < Tier0Profile::MaxBranches) {
+        Tier0Profile::BranchStat &BS = Prof->Branches[O];
         BS.Total.fetch_add(1, std::memory_order_relaxed);
         if (Taken)
           BS.Taken.fetch_add(1, std::memory_order_relaxed);
@@ -822,9 +776,8 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
       F.L[Id] = WideIV ? NV : sext32(NV);
     }
     if (Prof) {
-      auto It = LoopOrd.find(S);
-      if (It != LoopOrd.end() && It->second < Tier0Profile::MaxLoops) {
-        Tier0Profile::LoopStat &LS = Prof->Loops[It->second];
+      if (unsigned O = Slot[S->Ord]; O < Tier0Profile::MaxLoops) {
+        Tier0Profile::LoopStat &LS = Prof->Loops[O];
         LS.Entries.fetch_add(1, std::memory_order_relaxed);
         LS.Iters.fetch_add(Trips, std::memory_order_relaxed);
         std::uint64_t Cur = LS.MaxTrip.load(std::memory_order_relaxed);
@@ -854,8 +807,12 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
 
 InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
                              const double *FpArgs, unsigned NumFp) const {
-  std::int64_t L[MaxLocals] = {};
-  double D[MaxLocals] = {};
+  // Only the spec's own locals are ever read: clear those, not the whole
+  // MaxLocals frame.
+  std::int64_t L[MaxLocals];
+  double D[MaxLocals];
+  std::fill_n(L, LocalTypes.size(), 0);
+  std::fill_n(D, LocalTypes.size(), 0.0);
   Frame F{L, D};
   for (const ParamBind &P : Params) {
     if (P.Type == EvalType::Double) {
@@ -867,8 +824,6 @@ InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
       L[P.LocalId] = P.Type == EvalType::Int ? sext32(V) : V;
     }
   }
-  if (Prof)
-    Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
   Val Ret;
   (void)execStmt(Root, F, Ret);
   InterpResult R;

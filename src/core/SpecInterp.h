@@ -31,7 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace tcc {
 namespace core {
@@ -62,9 +62,6 @@ struct Tier0Profile {
     std::atomic<std::uint64_t> Taken{0};
     std::atomic<std::uint64_t> Total{0};
   };
-
-  /// Interpreted dispatches of this spec.
-  std::atomic<std::uint64_t> Invocations{0};
 
   LoopStat Loops[MaxLoops];
   BranchStat Branches[MaxBranches];
@@ -108,8 +105,10 @@ Tier0ProfileSnapshot snapshotTier0(const Tier0Profile &P);
 
 /// True when SpecInterp::run can execute this spec exactly: no dynamic
 /// labels/gotos, every call signature within the dispatch ladder, every
-/// parameter within marshalling range, and no floating-point induction
-/// variables. Uninterpretable specs fall back to the synchronous baseline.
+/// parameter within marshalling range, no floating-point induction
+/// variables, and every node created in \p Ctx before the root (so its
+/// creation ordinal indexes the profile slots). Uninterpretable specs fall
+/// back to the synchronous baseline. Runs SpecInterp's construction walk.
 bool specInterpretable(const Context &Ctx, Stmt Body, EvalType RetType);
 
 /// The value a run produced: I for Int/Long/Ptr returns (Int values are
@@ -144,10 +143,9 @@ public:
                    const double *FpArgs, unsigned NumFp) const;
 
   /// True when the construction walk found the spec within the
-  /// interpreter's envelope — the same verdict specInterpretable() reaches,
-  /// but computed during the ordinal-assignment walk so latency-sensitive
-  /// creators (the tier manager) pay for one tree traversal, not two.
-  /// run() must not be called when this is false.
+  /// interpreter's envelope (the verdict specInterpretable() returns), so
+  /// latency-sensitive creators (the tier manager) pay for one tree
+  /// traversal, not two. run() must not be called when this is false.
   bool ok() const { return Ok; }
 
   /// Reclaims the owned Context from an interpreter that failed ok() —
@@ -173,11 +171,16 @@ private:
   Tier0Profile *Prof = nullptr;
   bool Ok = true;
 
-  /// First-visit ordinals (see Tier0Profile); ordinals at or beyond the
-  /// profile's fixed capacity execute unrecorded.
-  std::unordered_map<const StmtNode *, unsigned> LoopOrd;
-  std::unordered_map<const StmtNode *, unsigned> BranchOrd;
-  std::unordered_map<const ExprNode *, unsigned> RtOrd;
+  /// Maps node creation ordinal \p Ord to \p Counter on its first visit,
+  /// or to Full when \p Counter is past the profile's capacity \p Max.
+  void assignSlot(std::uint32_t Ord, unsigned Counter, unsigned Max);
+
+  /// Profile slot of each node, indexed by its creation ordinal (Ord): the
+  /// first-visit ordinal of a For, If or `$` node within its kind (see
+  /// Tier0Profile). Unvisited and Full are past every profile capacity, so
+  /// those nodes execute unrecorded. Built only when profiling.
+  std::vector<std::uint8_t> Slot;
+  static constexpr std::uint8_t Unvisited = 0xFF, Full = 0xFE;
   unsigned LoopCounter = 0, BranchCounter = 0, RtCounter = 0;
 
   std::vector<EvalType> LocalTypes;

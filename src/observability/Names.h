@@ -127,8 +127,6 @@ inline constexpr char TierCompiled[] = "tier.promote.compiled";
 inline constexpr char TierStale[] = "tier.promote.stale";
 inline constexpr char TierAbandoned[] = "tier.promote.abandoned";
 inline constexpr char TierPromotions[] = "tier.promotions";
-inline constexpr char TierRetiredFns[] = "tier.retired.fns";
-inline constexpr char TierRetiredBytes[] = "tier.retired.bytes";
 /// Enqueue -> dispatch-slot swap, TSC ticks per promotion.
 inline constexpr char HistTierPromoteLatency[] = "tier.promote.latency.cycles";
 /// Tier-0 baselines revived from a persistent snapshot instead of compiled

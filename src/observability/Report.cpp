@@ -297,11 +297,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
             static_cast<unsigned long long>(S.counter(names::TierQueueFull)),
             static_cast<unsigned long long>(S.counter(names::TierStale)),
             static_cast<unsigned long long>(S.counter(names::TierAbandoned)));
-    appendf(Out, "  retired: %llu vcode fns, %llu code bytes; "
-                 "%llu single-flight waits\n",
-            static_cast<unsigned long long>(S.counter(names::TierRetiredFns)),
-            static_cast<unsigned long long>(
-                S.counter(names::TierRetiredBytes)),
+    appendf(Out, "  %llu single-flight waits\n",
             static_cast<unsigned long long>(
                 S.counter(names::CacheSingleflightWait)));
     if (const HistogramSnapshot *H =
@@ -440,7 +436,7 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
 
   // Execution hotspots: where SIGPROF samples actually landed, resolved
   // against the runtime symbol table (live regions plus the retained
-  // totals of tier-retired generations).
+  // totals of retired generations).
   std::uint64_t SampTotal = S.counter(names::SampleTotal);
   if (SampTotal) {
     std::uint64_t SampHits = S.counter(names::SampleHits);

@@ -170,8 +170,9 @@ void RuntimeSymbolTable::retire(int Idx) {
   while (InSignal.load(std::memory_order_acquire) != 0)
     ;
 
-  // Retain the retired symbol's sample totals under its name, so tier
-  // swaps do not erase the baseline's share of the profile.
+  // Retain the retired symbol's sample totals under its name, so a
+  // generation that is gone (an evicted baseline, a destroyed slot's
+  // tiers) keeps its share of the profile.
   if (std::uint64_t N = S.Samples.load(std::memory_order_relaxed)) {
     SymbolInfo &Agg = Retired[S.Name];
     if (Agg.Name.empty())

@@ -28,10 +28,11 @@
 /// retire) serialize on an ordinary mutex — they run on normal threads
 /// only.
 ///
-/// Retirement is epoch-consistent with the tier manager by construction:
-/// a symbol is retired from ~CompiledFn, and the tier manager only drops
-/// its baseline CompiledFn after the dispatch-slot epoch drains (no caller
-/// can still be executing the region). retire() additionally waits for
+/// Retirement is consistent with the tier manager by construction: a
+/// symbol is retired from ~CompiledFn, which runs when the last handle
+/// drops, and a dispatch slot holds every tier it installed until the slot
+/// is destroyed (no caller can still be executing the region). retire()
+/// additionally waits for
 /// in-flight signal handlers to leave the table before returning, so the
 /// ProfileEntry a slot points into can never be read after it is freed.
 ///

@@ -51,8 +51,6 @@ const char *tcc::obs::spanName(SpanKind K) {
     return "tier-compile";
   case SpanKind::TierSwap:
     return "tier-swap";
-  case SpanKind::TierRetire:
-    return "tier-retire";
   }
   return "unknown";
 }

@@ -58,11 +58,10 @@ enum class SpanKind : std::uint8_t {
   TierEnqueue,     ///< Promotion request pushed onto the tier queue.
   TierCompile,     ///< Background ICODE recompile of a hot spec.
   TierSwap,        ///< Dispatch-slot swap to the promoted entry.
-  TierRetire,      ///< Epoch drain + release of the retired VCODE region.
 };
 
 constexpr unsigned NumSpanKinds =
-    static_cast<unsigned>(SpanKind::TierRetire) + 1;
+    static_cast<unsigned>(SpanKind::TierSwap) + 1;
 
 /// Stable, Perfetto-friendly name of a span kind.
 const char *spanName(SpanKind K);

@@ -76,6 +76,7 @@ core::InterpResult TieredFn::dispatchInterp(const std::int64_t *IntArgs,
                                             unsigned NumFp) const {
   static obs::Counter &C = counter(obs::names::Tier0Invocations);
   C.inc();
+  Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
   return Interp->run(IntArgs, NumInt, FpArgs, NumFp);
 }
 
@@ -97,10 +98,16 @@ void TieredFn::requestPromotion() {
   // Queue full (or manager stopping): back off — revert to Baseline with a
   // doubled trigger so a later call retries instead of hammering the queue.
   counter(obs::names::TierQueueFull).inc();
-  std::uint64_t Inv = Prof->Invocations.load(std::memory_order_relaxed);
-  TriggerAt.store(std::max<std::uint64_t>(Inv * 2, Inv + 1),
-                  std::memory_order_relaxed);
+  backOff();
   State.store(TierState::Baseline);
+}
+
+void TieredFn::backOff() {
+  const std::atomic<std::uint64_t> *C = Count.load(std::memory_order_relaxed);
+  std::uint64_t Now = C->load(std::memory_order_relaxed);
+  std::uint64_t Calls = Now + CountBias.load(std::memory_order_relaxed);
+  TriggerAt.store(Now + std::max<std::uint64_t>(Calls, 1),
+                  std::memory_order_relaxed);
 }
 
 void TieredFn::installPromoted(cache::FnHandle NewFn) {
@@ -117,35 +124,9 @@ void TieredFn::installPromoted(cache::FnHandle NewFn) {
                       reinterpret_cast<std::uintptr_t>(OldEntry),
                       reinterpret_cast<std::uintptr_t>(Promoted->entry()),
                       Prof ? Prof->Name.c_str() : nullptr);
-    // From here every new call dispatches to the ICODE body; only callers
-    // already past their Entry.load() can still be running the baseline.
-  }
-
-  {
-    // Retire the VCODE region: flip the epoch parity, then wait out the
-    // stragglers pinned on the old side. A reader that pinned the old
-    // parity *after* our Entry.store above necessarily loaded the new
-    // entry (both operations are seq_cst), so waiting on the old parity
-    // over-approximates — never under-approximates — the set of threads
-    // that can still touch the baseline code.
-    obs::TraceSpan Retire(obs::SpanKind::TierRetire);
-    unsigned OldParity = static_cast<unsigned>(Epoch.fetch_add(1)) & 1u;
-    while (Pins[OldParity].load() != 0)
-      std::this_thread::yield();
-
-    cache::FnHandle Old;
-    {
-      support::MutexLock G(M);
-      Old = std::move(Baseline);
-      Baseline.reset();
-    }
-    if (Old) {
-      counter(obs::names::TierRetiredFns).inc();
-      counter(obs::names::TierRetiredBytes).inc(Old->stats().CodeBytes);
-    }
-    // `Old` drops here: if the cache has since evicted the baseline, this
-    // releases the region back to the pool; if not, the cache's reference
-    // keeps it alive harmlessly.
+    // From here every new call dispatches to the ICODE body. Callers
+    // already past their Entry.load() finish on the baseline, which the
+    // slot keeps until it is destroyed.
   }
 
   std::uint64_t LatNs = readMonotonicNanos() - StartNs;
@@ -170,6 +151,22 @@ void TieredFn::installBaseline(cache::FnHandle NewFn) {
   obs::MetricsRegistry::global()
       .histogram(obs::names::HistTier0SwapLatency)
       .record(readCycleCounter() - CreatedTsc);
+  // Re-base the trigger onto the baseline prologue's counter, which counts
+  // every compiled call from here on: the calls still owed carry over, so
+  // the trigger fires after PromoteThreshold calls in total. A trigger
+  // crossed while interpreted fires at the check below.
+  if (!NewFn->profile())
+    reportFatalError("tier: baseline compiled without a profile entry");
+  const std::atomic<std::uint64_t> &BaseCount = NewFn->profile()->Invocations;
+  std::uint64_t Base = BaseCount.load(std::memory_order_relaxed);
+  std::uint64_t Interpreted = Prof->Invocations.load(std::memory_order_relaxed);
+  std::uint64_t Trigger = TriggerAt.load(std::memory_order_relaxed);
+  TriggerAt.store(Base + (Trigger > Interpreted ? Trigger - Interpreted : 0),
+                  std::memory_order_relaxed);
+  // invocations() reads CountBias first: a reader that sees the new bias
+  // sees the new counter too.
+  Count.store(&BaseCount, std::memory_order_relaxed);
+  CountBias.store(Interpreted - Base, std::memory_order_release);
   {
     obs::TraceSpan Swap(obs::SpanKind::TierSwap);
     support::MutexLock G(M);
@@ -180,13 +177,13 @@ void TieredFn::installBaseline(cache::FnHandle NewFn) {
                       Prof ? Prof->Name.c_str() : nullptr);
     // From here every new call runs machine code; callers already past
     // their Entry.load() finish on the interpreter, which stays alive for
-    // the slot's whole lifetime — nothing retires at this swap.
+    // the slot's whole lifetime.
     State.store(TierState::Baseline);
   }
   CV.notify_all();
   // The slot may have crossed the promotion trigger while still
-  // interpreted (maybeRequestPromotion no-ops outside Baseline); re-check
-  // now so a burst that went quiet before the swap still tiers up.
+  // interpreted (the interpreted path runs no trigger check); check now so
+  // a burst that went quiet before the swap still tiers up.
   maybeRequestPromotion();
 }
 
@@ -325,9 +322,7 @@ void TierManager::promote(const std::shared_ptr<TieredFn> &Fn) {
   // the request and re-arm with a doubled trigger.
   if (Fn->BaselineKey.Cacheable && !Fn->Service->lookup(Fn->BaselineKey)) {
     counter(obs::names::TierStale).inc();
-    std::uint64_t Inv = Fn->Prof->Invocations.load(std::memory_order_relaxed);
-    Fn->TriggerAt.store(std::max<std::uint64_t>(Inv * 2, Inv + 1),
-                        std::memory_order_relaxed);
+    Fn->backOff();
     {
       support::MutexLock G(Fn->M);
       Fn->State.store(TierState::Baseline);
@@ -411,15 +406,15 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
                                         CompileOptions BaseOpts) {
   // Baseline tier: PCODE (copy-and-patch, overridable via TICKC_BACKEND)
   // with the profiling prologue — the counter is the promotion sensor. The
-  // optimizing tier keeps the prologue too, so the two bodies differ only
-  // by back end (and promoted code keeps counting, which the report
-  // surfaces as per-fn invocation totals).
+  // optimizing tier has nothing left to decide from a count, so it runs
+  // without one; it keeps its symbol name (ProfileName), so sampled
+  // execution still attributes to it, and stats().Backend tells it apart.
   CompileOptions BaselineOpts = BaseOpts;
   BaselineOpts.Backend = baselineBackendFromEnv();
   BaselineOpts.Profile = true;
   CompileOptions PromoteOpts = BaseOpts;
   PromoteOpts.Backend = BackendKind::ICode;
-  PromoteOpts.Profile = true;
+  PromoteOpts.Profile = false;
 
   // Built into an owned context: the tier-0 path hands the tree to the
   // interpreter, which keeps it alive for the slot's lifetime; the legacy
@@ -469,16 +464,17 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
       Fn->State.store(TierState::Interpreted);
       Fn->CreatedNs = readMonotonicNanos();
       Fn->CreatedTsc = readCycleCounter();
-      // The slot's own profile entry: the invocation counter the call<>
-      // wrapper bumps across all three tiers (the interpreter has no
-      // profiling prologue, and compiled prologues bump the cache-shared
-      // compile entries instead). Allocated here so counting starts with
-      // the first dispatch; named and registered off the creation path by
-      // publishSlotProfile (worker, or the degraded path below).
+      // The slot's own profile entry counts the interpreted calls (the
+      // interpreter has no profiling prologue); installBaseline hands the
+      // trigger over to the baseline prologue's counter. Allocated here
+      // so counting starts with the first dispatch; named and registered
+      // off the creation path by publishSlotProfile (worker, or the
+      // degraded path below).
       Fn->Prof = std::make_shared<obs::ProfileEntry>();
       Fn->Prof->Backend.store("interp");
       Fn->Prof->PromoteThreshold.store(Config.PromoteThreshold,
                                        std::memory_order_relaxed);
+      Fn->Count.store(&Fn->Prof->Invocations, std::memory_order_relaxed);
       Fn->TriggerAt.store(Config.PromoteThreshold, std::memory_order_relaxed);
       // Entry stays null: call<> dispatches to the interpreter until the
       // worker installs the baseline.
@@ -524,6 +520,7 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
                                    std::memory_order_relaxed);
   // Arm relative to the counter's current value: a cache-shared baseline
   // may already have been invoked by non-tiered callers.
+  Fn->Count.store(&Fn->Prof->Invocations, std::memory_order_relaxed);
   Fn->TriggerAt.store(Fn->Prof->Invocations.load(std::memory_order_relaxed) +
                           Config.PromoteThreshold,
                       std::memory_order_relaxed);

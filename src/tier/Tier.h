@@ -15,23 +15,24 @@
 /// The moving parts:
 ///
 ///   * TieredFn — a dispatch slot: an atomic function-pointer indirection
-///     the caller invokes through. It starts at VCODE-compiled code whose
+///     the caller invokes through. It starts at baseline code whose
 ///     prologue counts invocations (CompileOptions::Profile); the dispatch
 ///     wrapper checks that counter against the promotion threshold after
 ///     each call and enqueues a promotion request the first time it is
-///     crossed.
+///     crossed. The wrapper counts only the calls the tier-0 interpreter
+///     answers, and the promoted body is compiled without the counter, so
+///     a call through a compiled slot adds one load and one compare.
 ///   * TierManager — a small pool of background compile threads draining a
 ///     bounded MPMC queue of promotion requests. A worker re-runs the
 ///     spec-building closure, compiles it with BackendKind::ICode through
 ///     the same CompileService (so the optimized body lands in the code
 ///     cache), verifies the baseline spec is still cache-resident, and
 ///     atomically swaps the slot.
-///   * Retirement — in-flight callers pin a per-slot epoch around each
-///     dispatched call; after the swap the worker advances the epoch and
-///     waits for the old parity's pin count to drain before dropping the
-///     VCODE handle, so no thread can ever execute freed code. Batch
-///     callers that hold handle() instead are protected by the FnHandle
-///     refcount itself.
+///   * Code lifetime — a slot holds every tier it installed until it is
+///     destroyed, and every call<>() caller holds the slot, so a caller
+///     that loaded the old entry just before a swap still runs live code.
+///     The cost is the baseline kept beside the promoted body; for a
+///     cacheable spec the code cache holds that baseline anyway.
 ///
 /// Lifetime rules: a TieredFnHandle (and anything its SpecBuild closure
 /// captures) must not outlive the CompileService it was created against or
@@ -47,7 +48,6 @@
 #include "observability/Profile.h"
 #include "support/ThreadSafety.h"
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -107,11 +107,10 @@ template <typename FnT> struct InterpMarshal;
 } // namespace detail
 
 /// A per-function dispatch slot. Callers invoke through call<>(), which
-/// pins the retirement epoch, loads the entry pointer, runs the generated
-/// code, and (on the baseline tier) checks the invocation counter against
-/// the promotion threshold. For batch loops, handle() returns a refcounted
-/// FnHandle of the current tier that stays valid across (and after) a
-/// promotion swap.
+/// loads the entry pointer, runs the generated code, and (on the baseline
+/// tier) checks the invocation counter against the promotion threshold.
+/// For batch loops, handle() returns a refcounted FnHandle of the current
+/// tier that stays valid across (and after) a promotion swap.
 class TieredFn : public std::enable_shared_from_this<TieredFn> {
 public:
   TieredFn(const TieredFn &) = delete;
@@ -119,47 +118,28 @@ public:
 
   /// Invokes the current tier: `TF->call<int(const Record *)>(&R)`.
   template <typename FnT, typename... ArgTs> auto call(ArgTs... Args) {
-    // Tier-0 slots count invocations here: the interpreter has no profiling
-    // prologue, and after the swap the compiled prologue bumps the
-    // *compile's own* (cache-shared) entry, not this slot's — the wrapper
-    // keeps one continuous count so the promotion trigger never stalls.
-    if (IsTier0)
-      Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
-    // Pin before loading the entry: any caller the retirement drain can
-    // miss on the old parity is then guaranteed (seq_cst) to observe the
-    // already-swapped entry, so it never runs retired code.
-    unsigned P = Epoch.load() & 1u;
-    Pins[P].fetch_add(1);
-    auto *Fn = reinterpret_cast<FnT *>(Entry.load());
+    auto *Fn = reinterpret_cast<FnT *>(Entry.load(std::memory_order_acquire));
     using RetT = decltype(Fn(Args...));
-    if (!Fn) {
-      // Tier 0 before the baseline swap: no machine code yet. The
-      // interpreter lives for the slot's whole lifetime, so it needs no
-      // pin; the epoch/pin machinery only guards retirable compiled code.
-      Pins[P].fetch_sub(1);
-      if constexpr (std::is_void_v<RetT>) {
-        detail::InterpMarshal<FnT>::invoke(*this, Args...);
-        maybeRequestPromotion();
-      } else {
-        RetT R = detail::InterpMarshal<FnT>::invoke(*this, Args...);
-        maybeRequestPromotion();
-        return R;
-      }
-    } else if constexpr (std::is_void_v<RetT>) {
+    // Tier 0 before the baseline swap: no machine code yet. The
+    // interpreted path counts the call itself (the interpreter has no
+    // profiling prologue); the swap re-arms the trigger and runs its check.
+    if (!Fn)
+      return detail::InterpMarshal<FnT>::invoke(*this, Args...);
+    // Compiled code the slot holds until it is destroyed, so a caller that
+    // loaded the old entry just before a swap still runs valid code.
+    if constexpr (std::is_void_v<RetT>) {
       Fn(Args...);
-      Pins[P].fetch_sub(1);
       maybeRequestPromotion();
     } else {
       RetT R = Fn(Args...);
-      Pins[P].fetch_sub(1);
       maybeRequestPromotion();
       return R;
     }
   }
 
   /// The current tier as a refcounted handle — the steady-state batch
-  /// path: one refcount bump amortized over many direct calls, immune to
-  /// retirement by construction. Does not advance the promotion trigger.
+  /// path: one refcount bump amortized over many direct calls, valid after
+  /// the slot itself is gone. Does not advance the promotion trigger.
   /// Null while the slot is still interpreted (tier 0): there is no
   /// compiled body yet — dispatch through call<>() or waitCompiled()
   /// first.
@@ -185,10 +165,16 @@ public:
   bool waitCompiled(std::chrono::milliseconds Timeout =
                         std::chrono::milliseconds(10000)) const;
 
-  /// The baseline profile entry carrying the invocation counter.
+  /// The slot's profile entry: the baseline compile's, or for a tier-0
+  /// slot its own, which counts the interpreted calls.
   const obs::ProfileEntry &profile() const { return *Prof; }
+  /// Calls dispatched through the slot up to promotion, one continuous
+  /// count across the tier-0 swap (promoted code does not count).
   std::uint64_t invocations() const {
-    return Prof->Invocations.load(std::memory_order_relaxed);
+    std::uint64_t Bias = CountBias.load(std::memory_order_acquire);
+    return Count.load(std::memory_order_relaxed)
+               ->load(std::memory_order_relaxed) +
+           Bias;
   }
   /// Enqueue -> slot-swap latency of the completed promotion, or 0.
   std::uint64_t promoteLatencyNanos() const { return PromoteLatencyNs.load(); }
@@ -216,35 +202,42 @@ private:
   void maybeRequestPromotion() {
     if (State.load(std::memory_order_relaxed) != TierState::Baseline)
       return;
-    if (Prof->Invocations.load(std::memory_order_relaxed) <
+    if (Count.load(std::memory_order_relaxed)
+            ->load(std::memory_order_relaxed) <
         TriggerAt.load(std::memory_order_relaxed))
       return;
     requestPromotion();
   }
 
+  /// Re-arms the trigger after a dropped request: the slot must run as
+  /// many calls again as it has run so far before it retries.
+  void backOff();
+
   /// CASes Baseline -> Queued and enqueues with the manager (out of line:
   /// needs TierManager's definition).
   void requestPromotion();
 
-  /// Worker side: swap the slot to \p NewFn, drain the epoch, retire the
-  /// baseline region, publish Promoted state.
+  /// Worker side: swap the slot to \p NewFn and publish Promoted state.
+  /// The baseline stays held: nothing is freed while the slot lives.
   void installPromoted(cache::FnHandle NewFn);
 
   /// Worker side of the tier-0 swap: install the freshly compiled baseline
-  /// into a still-interpreted slot. No retirement — the interpreter is not
-  /// freed (it lives as long as the slot) — so this is just the entry
-  /// store, the latency record, and the chained promotion check for slots
-  /// that crossed the trigger while interpreted.
+  /// into a still-interpreted slot, re-base the trigger onto its prologue
+  /// counter, and run the promotion check for slots that crossed the
+  /// trigger while interpreted.
   void installBaseline(cache::FnHandle NewFn);
 
   // --- Dispatch fast path ---------------------------------------------------
   std::atomic<void *> Entry{nullptr};
-  std::atomic<std::uint64_t> Epoch{0};
-  std::array<std::atomic<std::uint64_t>, 2> Pins{};
   std::atomic<TierState> State{TierState::Baseline};
-  /// Promotion trigger in absolute invocations; doubled for backoff when a
-  /// promotion is dropped as stale.
+  /// The counter the trigger reads: the baseline prologue's, or while a
+  /// tier-0 slot is interpreted, its own entry's.
+  std::atomic<const std::atomic<std::uint64_t> *> Count{nullptr};
+  /// Promotion trigger on Count's scale.
   std::atomic<std::uint64_t> TriggerAt{0};
+  /// invocations() minus *Count (mod 2^64): the calls interpreted before
+  /// the tier-0 swap minus the baseline counter's value at the swap.
+  std::atomic<std::uint64_t> CountBias{0};
   std::atomic<std::uint64_t> PromoteLatencyNs{0};
   std::atomic<std::uint64_t> Tier0SwapNs{0};
 
@@ -275,7 +268,8 @@ private:
   // the predicate themselves so the analysis sees every guarded read.
   mutable support::Mutex M;
   mutable std::condition_variable_any CV;
-  /// Dropped once the retirement epoch drains.
+  /// Every tier the slot installed, held until the slot is destroyed: a
+  /// caller may still be running the baseline after the promotion swap.
   cache::FnHandle Baseline TICKC_GUARDED_BY(M);
   cache::FnHandle Promoted TICKC_GUARDED_BY(M);
   std::uint64_t EnqueuedNs TICKC_GUARDED_BY(M) = 0;

@@ -228,9 +228,9 @@ TEST(Sampler, AttributesHotLoopSamplesToItsSymbol) {
 
   // Spend ~0.4 s of CPU almost entirely inside the generated loop.
   auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(4);
-  volatile int Sink = 0;
+  volatile unsigned Sink = 0; // Wraps; only keeps the calls alive.
   while (S.totalSamples() < 200 && std::chrono::steady_clock::now() < Until)
-    Sink = Sink + Fn(1 << 16);
+    Sink = Sink + static_cast<unsigned>(Fn(1 << 16));
   S.stop();
   EXPECT_FALSE(S.running());
 

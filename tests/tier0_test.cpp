@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -149,8 +152,92 @@ TEST(Tier0, PromotesThroughAllThreeTiers) {
     EXPECT_EQ(TF->call<int(int)>(2), 48);
   ASSERT_TRUE(TF->waitPromoted());
   EXPECT_EQ(TF->state(), TierState::Promoted);
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->stats().Backend, BackendKind::ICode);
   EXPECT_EQ(TF->call<int(int)>(2), 48);
+}
+
+/// Holds the background baseline compile of the specs it builds until
+/// release(): the worker re-runs the spec-building closure, so holding it
+/// there keeps every call before release() on the interpreter. Declare it
+/// after the TierManager: it releases on destruction, before the manager
+/// joins its worker.
+class HeldBaseline {
+public:
+  ~HeldBaseline() { release(); }
+
+  SpecBuild build(int N) const {
+    return [G = G, N](Context &C) {
+      if (G->Builds.fetch_add(1) == 1) { // The worker's baseline compile.
+        std::unique_lock<std::mutex> L(G->Mu);
+        G->Cv.wait(L, [&] { return G->Released; });
+      }
+      return buildLoopSpec(C, N);
+    };
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> L(G->Mu);
+      G->Released = true;
+    }
+    G->Cv.notify_all();
+  }
+
+private:
+  struct Gate {
+    std::atomic<unsigned> Builds{0};
+    std::mutex Mu;
+    std::condition_variable Cv;
+    bool Released = false;
+  };
+  std::shared_ptr<Gate> G = std::make_shared<Gate>();
+};
+
+TEST(Tier0, TriggerHandoffFiresOnTheThresholdCall) {
+  // K interpreted calls, then the swap, then compiled calls: the trigger
+  // must fire on exactly the T-th call in total, not T calls after the
+  // swap and not at the swap.
+  constexpr unsigned T = 12, K = 5;
+  CompileService S;
+  TierManager TM(config(T));
+  HeldBaseline Held;
+  TieredFnHandle TF =
+      S.getOrCompileTiered(Held.build(5), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF && TF->isTier0());
+  for (unsigned I = 0; I < K; ++I)
+    EXPECT_EQ(TF->call<int(int)>(3), 15);
+  EXPECT_FALSE(TF->compiled());
+  EXPECT_EQ(TF->invocations(), K);
+
+  Held.release();
+  ASSERT_TRUE(TF->waitCompiled());
+  EXPECT_EQ(TF->state(), TierState::Baseline);
+  EXPECT_EQ(TF->invocations(), K); // One continuous count.
+  for (unsigned I = K + 1; I < T; ++I) {
+    EXPECT_EQ(TF->call<int(int)>(3), 15);
+    EXPECT_EQ(TF->state(), TierState::Baseline) << "call " << I;
+  }
+  EXPECT_EQ(TF->invocations(), T - 1);
+  EXPECT_EQ(TF->call<int(int)>(3), 15); // The T-th call.
+  EXPECT_NE(TF->state(), TierState::Baseline);
+  ASSERT_TRUE(TF->waitPromoted());
+  EXPECT_EQ(TF->call<int(int)>(3), 15);
+}
+
+TEST(Tier0, TriggerCrossedWhileInterpretedFiresAtTheSwap) {
+  constexpr unsigned T = 4;
+  CompileService S;
+  TierManager TM(config(T));
+  HeldBaseline Held;
+  TieredFnHandle TF =
+      S.getOrCompileTiered(Held.build(6), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(TF && TF->isTier0());
+  for (unsigned I = 0; I < 2 * T; ++I)
+    EXPECT_EQ(TF->call<int(int)>(2), 12);
+  EXPECT_EQ(TF->state(), TierState::Interpreted);
+  // No further call: the swap itself requests the promotion.
+  Held.release();
+  ASSERT_TRUE(TF->waitPromoted());
+  EXPECT_EQ(TF->call<int(int)>(2), 12);
 }
 
 // --- Execution profile -------------------------------------------------------
@@ -196,6 +283,26 @@ TEST(Tier0, ProfileMeasuresTripCountsAndDecides) {
     ASSERT_EQ(Snap.NumLoops, 1u);
     EXPECT_EQ(Snap.Decision[0], 0u);
   }
+}
+
+TEST(Tier0, NodesFromAnotherContextAreNotInterpreted) {
+  // Profile slots are indexed by creation ordinal, which is per Context: a
+  // node spliced in from another Context has no slot of its own (here its
+  // ordinal is past the whole spec's).
+  Context A;
+  for (int I = 0; I < 64; ++I)
+    (void)A.intConst(I);
+  Stmt Foreign = A.ifStmt(A.intConst(1), A.ret(A.intConst(2)));
+  Context B;
+  Stmt Body = B.block({Foreign, B.ret(B.intConst(3))});
+  EXPECT_FALSE(specInterpretable(B, Body, EvalType::Int));
+  Tier0Profile P;
+  EXPECT_FALSE(SpecInterp(B, Body, EvalType::Int, &P).ok());
+  // The same shape built in one Context is interpretable.
+  Context C;
+  Stmt Own = C.block({C.ifStmt(C.intConst(1), C.ret(C.intConst(2))),
+                      C.ret(C.intConst(3))});
+  EXPECT_TRUE(specInterpretable(C, Own, EvalType::Int));
 }
 
 TEST(Tier0, TripProfileDigestEntersSpecKey) {
@@ -385,7 +492,7 @@ TEST(Tier0, ConcurrentCallersAcrossBothSwaps) {
     T.join();
   EXPECT_TRUE(Promoted);
   EXPECT_EQ(Failures.load(), 0u);
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->stats().Backend, BackendKind::ICode);
 }
 
 TEST(Tier0, ManyFreshSlotsUnderConcurrentLoad) {

@@ -15,6 +15,7 @@
 #include "apps/Query.h"
 #include "cache/CompileService.h"
 #include "tier/Tier.h"
+#include "x86/X86Decoder.h"
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,24 @@ template <typename CallT> bool driveToPromotion(TieredFn &TF, CallT Call) {
   return true;
 }
 
+/// Counts the `lock inc` counter bumps in \p F's code (the profiling
+/// prologue; generated code is linearly decodable by construction).
+unsigned counterBumps(const CompiledFn &F) {
+  const auto *Code = static_cast<const std::uint8_t *>(F.entry());
+  unsigned N = 0;
+  for (std::size_t Off = 0; Off < F.stats().CodeBytes;) {
+    x86::Decoded D;
+    const char *Err = nullptr;
+    if (!x86::decodeOne(Code, F.stats().CodeBytes, Off, D, &Err)) {
+      ADD_FAILURE() << "undecodable at +" << Off << ": " << Err;
+      return N;
+    }
+    N += D.Cls == x86::InstrClass::LockInc;
+    Off += D.Len;
+  }
+  return N;
+}
+
 // --- Per-app agreement across the swap --------------------------------------
 
 TEST(Tier, QueryPromotesToICodeAndAgrees) {
@@ -85,8 +104,7 @@ TEST(Tier, QueryPromotesToICodeAndAgrees) {
   // The promoted tier is the ICODE body and still agrees.
   FnHandle H = TF->handle();
   ASSERT_TRUE(H);
-  ASSERT_NE(H->profile(), nullptr);
-  EXPECT_STREQ(H->profile()->Backend.load(), "icode");
+  EXPECT_EQ(H->stats().Backend, BackendKind::ICode);
   EXPECT_EQ(CountViaSlot(), Expected);
   EXPECT_EQ(App.countCompiled(H->as<int(const apps::Record *)>()), Expected);
 }
@@ -151,6 +169,36 @@ TEST(Tier, UncacheableDotProductStillPromotes) {
   EXPECT_EQ(TF->call<int(const int *)>(Col.data()), Expected);
   // Nothing was memoized on either tier.
   EXPECT_EQ(S.cache().stats().Insertions, 0u);
+}
+
+// --- What a call through the slot costs -------------------------------------
+
+TEST(Tier, PromotedCodeHasNoCounterPrologue) {
+  CompileService S;
+  TierManager TM(config(16));
+  apps::PowerApp P(13);
+  TieredFnHandle TF = P.specializeTiered(S, &TM);
+  ASSERT_TRUE(TF->waitCompiled());
+  FnHandle Base = TF->handle();
+  ASSERT_TRUE(Base);
+  ASSERT_NE(Base->profile(), nullptr);
+  EXPECT_EQ(counterBumps(*Base), 1u); // The promotion sensor.
+
+  ASSERT_TRUE(
+      driveToPromotion(*TF, [&] { (void)TF->call<int(int)>(2); }));
+  FnHandle Opt = TF->handle();
+  EXPECT_EQ(Opt->stats().Backend, BackendKind::ICode);
+  EXPECT_EQ(Opt->profile(), nullptr);
+  EXPECT_EQ(counterBumps(*Opt), 0u);
+
+  // Promoted calls count nowhere; the count stops where promotion began.
+  std::uint64_t N = TF->invocations();
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(TF->call<int(int)>(2), 8192);
+  EXPECT_EQ(TF->invocations(), N);
+  // The slot keeps its baseline alive after the swap: a caller that
+  // loaded the old entry may still be running it.
+  EXPECT_EQ(Base->as<int(int)>()(2), 8192);
 }
 
 // --- Slot memoization --------------------------------------------------------
@@ -256,7 +304,7 @@ TEST(Tier, ConcurrentCallersAcrossTheSwap) {
   EXPECT_EQ(Failures.load(), 0u);
   // Every caller kept agreeing through the swap; and post-join the slot is
   // on the optimized tier.
-  EXPECT_STREQ(TF->handle()->profile()->Backend.load(), "icode");
+  EXPECT_EQ(TF->handle()->stats().Backend, BackendKind::ICode);
 }
 
 TEST(Tier, CallersSurviveEvictionChurnAroundPromotion) {

@@ -63,10 +63,21 @@ struct BinCase {
 /// listed name unstable.
 void PrintTo(const BinCase &C, std::ostream *OS) { *OS << C.Name; }
 
+// add/sub/mul references wrap in unsigned arithmetic, as the generated
+// 32-bit instructions do (signed overflow would be undefined here).
 const BinCase BinCases[] = {
-    {"add", &VCode::addI, [](int A, int B) { return A + B; }},
-    {"sub", &VCode::subI, [](int A, int B) { return A - B; }},
-    {"mul", &VCode::mulI, [](int A, int B) { return A * B; }},
+    {"add", &VCode::addI,
+     [](int A, int B) {
+       return static_cast<int>(static_cast<unsigned>(A) + B);
+     }},
+    {"sub", &VCode::subI,
+     [](int A, int B) {
+       return static_cast<int>(static_cast<unsigned>(A) - B);
+     }},
+    {"mul", &VCode::mulI,
+     [](int A, int B) {
+       return static_cast<int>(static_cast<unsigned>(A) * B);
+     }},
     {"and", &VCode::andI, [](int A, int B) { return A & B; }},
     {"or", &VCode::orI, [](int A, int B) { return A | B; }},
     {"xor", &VCode::xorI, [](int A, int B) { return A ^ B; }},
