@@ -6,12 +6,18 @@
 // for the global allocator. The automatic dynamic partial evaluation —
 // run-time constant folding, strength reduction, loop unrolling with derived
 // run-time constants, and dead-branch elimination — lives in this walk.
+// Its constant folder (RcEvaluator) owns only the folding policy: O(1)
+// flag rejections, the `$`-only memory gate, and declining to fold a
+// division that traps. What each operator computes, and how an unrolled
+// induction variable steps, comes from core/Eval.h, which tier 0
+// (SpecInterp) shares, so folded, emitted and interpreted values agree.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Compile.h"
 
 #include "core/CompileContext.h"
+#include "core/Eval.h"
 #include "core/SpecInterp.h"
 #include "observability/Flight.h"
 #include "observability/Metrics.h"
@@ -40,43 +46,22 @@ namespace {
 
 // --- Run-time-constant interpretation ---------------------------------------
 
-/// A value computed at instantiation time.
-struct RcVal {
-  EvalType T = EvalType::Int;
-  std::int64_t I = 0;
-  double D = 0;
-
-  static RcVal ofInt(std::int64_t V, EvalType T = EvalType::Int) {
-    RcVal R;
-    R.T = T;
-    R.I = T == EvalType::Int ? static_cast<std::int32_t>(V) : V;
-    return R;
-  }
-  static RcVal ofDouble(double V) {
-    RcVal R;
-    R.T = EvalType::Double;
-    R.D = V;
-    return R;
-  }
-  bool isFp() const { return T == EvalType::Double; }
-  double asDouble() const { return isFp() ? D : static_cast<double>(I); }
-  bool truthy() const { return isFp() ? D != 0 : I != 0; }
-};
-
-/// Evaluates expressions whose value is known at instantiation time. The
+/// Evaluates expressions whose value is known at instantiation time, with
+/// the operator semantics of core/Eval.h; a value's type is its node's. The
 /// environment carries derived run-time constants (unrolled induction
 /// variables). With AllowLoads (inside an explicit `$`/rtEval), memory is
-/// read immediately — this is how `$row[k]` becomes an immediate.
+/// read immediately — this is how `$row[k]` becomes an immediate. A division
+/// that would trap is not a constant: the trap is left to runtime.
 class RcEvaluator {
 public:
   RcEvaluator(unsigned NumLocals, Arena &A) : Env(A) {
     Env.resize(NumLocals, std::nullopt);
   }
 
-  ArenaVector<std::optional<RcVal>> Env;
+  ArenaVector<std::optional<Value>> Env;
 
   /// Binds a derived run-time constant (unrolled induction variable).
-  void bind(std::int32_t Id, const RcVal &V) {
+  void bind(std::int32_t Id, const Value &V) {
     auto &Slot = Env[static_cast<std::size_t>(Id)];
     if (!Slot)
       ++NumBound;
@@ -92,7 +77,7 @@ public:
     return Env[static_cast<std::size_t>(Id)].has_value();
   }
 
-  std::optional<RcVal> eval(const ExprNode *N, bool AllowLoads) const {
+  std::optional<Value> eval(const ExprNode *N, bool AllowLoads) const {
     // O(1) rejection from specification-time flags: without it, deep
     // expression chains re-walk their subtrees at every node and the CGF
     // walk goes quadratic.
@@ -104,11 +89,10 @@ public:
       return std::nullopt;
     switch (N->Kind) {
     case ExprKind::ConstInt:
-      return RcVal::ofInt(N->IntVal, EvalType::Int);
     case ExprKind::ConstLong:
-      return RcVal::ofInt(N->IntVal, N->Type);
+      return Value{eval::canon(N->IntVal, N->Type)};
     case ExprKind::ConstDouble:
-      return RcVal::ofDouble(N->FpVal);
+      return Value{0, N->FpVal};
     case ExprKind::Local:
       return Env[static_cast<std::size_t>(N->LocalId)];
     case ExprKind::RtEval:
@@ -116,28 +100,54 @@ public:
     case ExprKind::FreeVar:
       if (!AllowLoads)
         return std::nullopt;
-      return loadFrom(N->PtrVal, static_cast<MemType>(N->OpByte));
+      return eval::load(N->PtrVal, static_cast<MemType>(N->OpByte));
     case ExprKind::Load: {
       if (!AllowLoads)
         return std::nullopt;
       auto Addr = eval(N->A, AllowLoads);
       if (!Addr)
         return std::nullopt;
-      return loadFrom(reinterpret_cast<const void *>(
-                          static_cast<std::uintptr_t>(Addr->I)),
-                      static_cast<MemType>(N->OpByte));
+      return eval::load(reinterpret_cast<const void *>(
+                            static_cast<std::uintptr_t>(Addr->I)),
+                        static_cast<MemType>(N->OpByte));
     }
-    case ExprKind::Unary:
-      return evalUnary(N, AllowLoads);
-    case ExprKind::Binary:
-      return evalBinary(N, AllowLoads);
-    case ExprKind::Cmp:
-      return evalCmp(N, AllowLoads);
+    case ExprKind::Unary: {
+      auto A = eval(N->A, AllowLoads);
+      if (!A)
+        return std::nullopt;
+      return eval::unary(static_cast<UnOp>(N->OpByte), N->Type, *A);
+    }
+    case ExprKind::Binary: {
+      auto O = static_cast<BinOp>(N->OpByte);
+      auto A = eval(N->A, AllowLoads);
+      if (!A)
+        return std::nullopt;
+      // Short-circuit forms may decide on the left operand alone.
+      bool Logical = O == BinOp::LogAnd || O == BinOp::LogOr;
+      if (Logical && eval::truthy(*A, N->A->Type) == (O == BinOp::LogOr))
+        return Value{O == BinOp::LogOr};
+      auto B = eval(N->B, AllowLoads);
+      if (!B)
+        return std::nullopt;
+      if (Logical)
+        return Value{eval::truthy(*B, N->B->Type)};
+      if (eval::traps(O, N->Type, *A, *B))
+        return std::nullopt;
+      return eval::binary(O, N->Type, *A, *B);
+    }
+    case ExprKind::Cmp: {
+      auto A = eval(N->A, AllowLoads);
+      auto B = eval(N->B, AllowLoads);
+      if (!A || !B)
+        return std::nullopt;
+      return Value{eval::compare(static_cast<CmpKind>(N->OpByte), N->A->Type,
+                                 *A, *B)};
+    }
     case ExprKind::Cond: {
       auto C = eval(N->A, AllowLoads);
       if (!C)
         return std::nullopt;
-      return eval(C->truthy() ? N->B : N->C, AllowLoads);
+      return eval(eval::truthy(*C, N->A->Type) ? N->B : N->C, AllowLoads);
     }
     case ExprKind::Call:
       return std::nullopt;
@@ -147,205 +157,6 @@ public:
 
 private:
   unsigned NumBound = 0; ///< Bound Env entries; gates the HasLocal check.
-
-  static RcVal loadFrom(const void *P, MemType M) {
-    switch (M) {
-    case MemType::I8:
-      return RcVal::ofInt(*static_cast<const std::int8_t *>(P));
-    case MemType::U8:
-      return RcVal::ofInt(*static_cast<const std::uint8_t *>(P));
-    case MemType::I16:
-      return RcVal::ofInt(*static_cast<const std::int16_t *>(P));
-    case MemType::U16:
-      return RcVal::ofInt(*static_cast<const std::uint16_t *>(P));
-    case MemType::I32:
-      return RcVal::ofInt(*static_cast<const std::int32_t *>(P));
-    case MemType::I64:
-      return RcVal::ofInt(*static_cast<const std::int64_t *>(P),
-                          EvalType::Long);
-    case MemType::P64:
-      return RcVal::ofInt(static_cast<std::int64_t>(
-                              *static_cast<const std::uintptr_t *>(P)),
-                          EvalType::Ptr);
-    case MemType::F64:
-      return RcVal::ofDouble(*static_cast<const double *>(P));
-    }
-    return RcVal::ofInt(0);
-  }
-
-  std::optional<RcVal> evalUnary(const ExprNode *N, bool AllowLoads) const {
-    auto V = eval(N->A, AllowLoads);
-    if (!V)
-      return std::nullopt;
-    switch (static_cast<UnOp>(N->OpByte)) {
-    case UnOp::Neg:
-      if (V->isFp())
-        return RcVal::ofDouble(-V->D);
-      return RcVal::ofInt(-V->I, N->Type);
-    case UnOp::Not:
-      return RcVal::ofInt(~V->I, N->Type);
-    case UnOp::LogNot:
-      return RcVal::ofInt(!V->truthy());
-    case UnOp::IntToDouble:
-    case UnOp::LongToDouble:
-      return RcVal::ofDouble(static_cast<double>(V->I));
-    case UnOp::DoubleToInt:
-      return RcVal::ofInt(static_cast<std::int32_t>(V->D));
-    case UnOp::IntToLong:
-      return RcVal::ofInt(V->I, EvalType::Long);
-    case UnOp::LongToInt:
-      return RcVal::ofInt(static_cast<std::int32_t>(V->I));
-    case UnOp::Bitcast:
-      return RcVal::ofInt(V->I, N->Type);
-    }
-    return std::nullopt;
-  }
-
-  std::optional<RcVal> evalBinary(const ExprNode *N, bool AllowLoads) const {
-    auto O = static_cast<BinOp>(N->OpByte);
-    auto A = eval(N->A, AllowLoads);
-    if (!A)
-      return std::nullopt;
-    // Short-circuit forms may decide on the left operand alone.
-    if (O == BinOp::LogAnd && !A->truthy())
-      return RcVal::ofInt(0);
-    if (O == BinOp::LogOr && A->truthy())
-      return RcVal::ofInt(1);
-    auto B = eval(N->B, AllowLoads);
-    if (!B)
-      return std::nullopt;
-    if (O == BinOp::LogAnd || O == BinOp::LogOr)
-      return RcVal::ofInt(B->truthy());
-    if (N->Type == EvalType::Double) {
-      double X = A->asDouble(), Y = B->asDouble();
-      switch (O) {
-      case BinOp::Add:
-        return RcVal::ofDouble(X + Y);
-      case BinOp::Sub:
-        return RcVal::ofDouble(X - Y);
-      case BinOp::Mul:
-        return RcVal::ofDouble(X * Y);
-      case BinOp::Div:
-        return RcVal::ofDouble(X / Y);
-      default:
-        return std::nullopt;
-      }
-    }
-    std::int64_t X = A->I, Y = B->I;
-    std::int64_t R;
-    switch (O) {
-    case BinOp::Add:
-      R = X + Y;
-      break;
-    case BinOp::Sub:
-      R = X - Y;
-      break;
-    case BinOp::Mul:
-      R = X * Y;
-      break;
-    case BinOp::Div:
-      if (Y == 0 || (Y == -1 && X == INT64_MIN))
-        return std::nullopt; // Leave the trap to runtime.
-      R = X / Y;
-      break;
-    case BinOp::Mod:
-      if (Y == 0 || (Y == -1 && X == INT64_MIN))
-        return std::nullopt;
-      R = X % Y;
-      break;
-    case BinOp::And:
-      R = X & Y;
-      break;
-    case BinOp::Or:
-      R = X | Y;
-      break;
-    case BinOp::Xor:
-      R = X ^ Y;
-      break;
-    case BinOp::Shl:
-      R = static_cast<std::int64_t>(static_cast<std::int32_t>(X)
-                                    << (Y & 31));
-      break;
-    case BinOp::Shr:
-      R = static_cast<std::int32_t>(X) >> (Y & 31);
-      break;
-    default:
-      return std::nullopt;
-    }
-    return RcVal::ofInt(R, N->Type);
-  }
-
-  std::optional<RcVal> evalCmp(const ExprNode *N, bool AllowLoads) const {
-    auto A = eval(N->A, AllowLoads);
-    auto B = eval(N->B, AllowLoads);
-    if (!A || !B)
-      return std::nullopt;
-    auto K = static_cast<CmpKind>(N->OpByte);
-    bool R = false;
-    if (A->isFp() || B->isFp()) {
-      double X = A->asDouble(), Y = B->asDouble();
-      switch (K) {
-      case CmpKind::Eq:
-        R = X == Y;
-        break;
-      case CmpKind::Ne:
-        R = X != Y;
-        break;
-      case CmpKind::LtS:
-      case CmpKind::LtU:
-        R = X < Y;
-        break;
-      case CmpKind::LeS:
-      case CmpKind::LeU:
-        R = X <= Y;
-        break;
-      case CmpKind::GtS:
-      case CmpKind::GtU:
-        R = X > Y;
-        break;
-      case CmpKind::GeS:
-      case CmpKind::GeU:
-        R = X >= Y;
-        break;
-      }
-    } else {
-      std::int64_t X = A->I, Y = B->I;
-      auto UX = static_cast<std::uint64_t>(X), UY = static_cast<std::uint64_t>(Y);
-      switch (K) {
-      case CmpKind::Eq:
-        R = X == Y;
-        break;
-      case CmpKind::Ne:
-        R = X != Y;
-        break;
-      case CmpKind::LtS:
-        R = X < Y;
-        break;
-      case CmpKind::LeS:
-        R = X <= Y;
-        break;
-      case CmpKind::GtS:
-        R = X > Y;
-        break;
-      case CmpKind::GeS:
-        R = X >= Y;
-        break;
-      case CmpKind::LtU:
-        R = UX < UY;
-        break;
-      case CmpKind::LeU:
-        R = UX <= UY;
-        break;
-      case CmpKind::GtU:
-        R = UX > UY;
-        break;
-      case CmpKind::GeU:
-        R = UX >= UY;
-        break;
-      }
-    }
-    return RcVal::ofInt(R);
-  }
 };
 
 // --- Backend traits -----------------------------------------------------------
@@ -510,14 +321,14 @@ private:
   }
 
   // --- Run-time constants as emitted values ---------------------------------
-  Val materialize(const RcVal &V) {
-    if (V.isFp()) {
+  Val materialize(EvalType T, const Value &V) {
+    if (T == EvalType::Double) {
       int R = TR::allocF(Back);
       Back.setD(R, V.D);
       return Val{R, true, true};
     }
     int R = TR::allocI(Back);
-    if (V.T == EvalType::Int)
+    if (T == EvalType::Int)
       Back.setI(R, static_cast<std::int32_t>(V.I));
     else
       Back.setL(R, V.I);
@@ -530,7 +341,7 @@ private:
     // memory is read early only under an explicit $ (RtEval).
     if (N->Kind != ExprKind::ConstInt) // Trivial leaves handled below anyway.
       if (auto V = Rc.eval(N, /*AllowLoads=*/false))
-        return materialize(*V);
+        return materialize(N->Type, *V);
 
     switch (N->Kind) {
     case ExprKind::ConstInt: {
@@ -553,7 +364,7 @@ private:
       if (!V)
         reportFatalError("$-expression is not a run-time constant at "
                          "instantiation time");
-      return materialize(*V);
+      return materialize(N->Type, *V);
     }
     case ExprKind::FreeVar: {
       int Addr = TR::allocI(Back);
@@ -571,7 +382,7 @@ private:
     case ExprKind::Local: {
       std::int32_t Id = N->LocalId;
       if (auto &Bound = Rc.Env[static_cast<std::size_t>(Id)])
-        return materialize(*Bound); // Derived run-time constant.
+        return materialize(N->Type, *Bound); // Derived run-time constant.
       return Val{localLoc(Id), false, localIsFp(Id)};
     }
     case ExprKind::Load: {
@@ -609,11 +420,11 @@ private:
         static_cast<BinOp>(N->OpByte) == BinOp::Add &&
         (N->Type == EvalType::Ptr || N->Type == EvalType::Long)) {
       if (auto BC = Rc.eval(N->B, false))
-        if (!BC->isFp() && BC->I >= INT32_MIN && BC->I <= INT32_MAX &&
+        if (BC->I >= INT32_MIN && BC->I <= INT32_MAX &&
             !Rc.eval(N->A, false))
           return {genExpr(N->A), static_cast<std::int32_t>(BC->I)};
       if (auto AC = Rc.eval(N->A, false))
-        if (!AC->isFp() && AC->I >= INT32_MIN && AC->I <= INT32_MAX)
+        if (AC->I >= INT32_MIN && AC->I <= INT32_MAX)
           return {genExpr(N->B), static_cast<std::int32_t>(AC->I)};
     }
     return {genExpr(N), 0};
@@ -746,7 +557,9 @@ private:
     }
     if (N->Type == EvalType::Long || N->Type == EvalType::Ptr) {
       if (auto BC = Rc.eval(N->B, false))
-        if (BC->I >= INT32_MIN && BC->I <= INT32_MAX &&
+        // Sub adds the negated immediate, which must fit too.
+        if (BC->I >= (O == BinOp::Sub ? -INT32_MAX : INT32_MIN) &&
+            BC->I <= INT32_MAX &&
             (O == BinOp::Add || O == BinOp::Mul || O == BinOp::Sub)) {
           Val A = genExpr(N->A);
           int D = A.Temp ? A.R : TR::allocI(Back);
@@ -1025,7 +838,7 @@ private:
   // --- Branch generation ------------------------------------------------------
   void genBranch(const ExprNode *Cond, LabelT Target, bool WhenTrue) {
     if (auto V = Rc.eval(Cond, false)) {
-      if (V->truthy() == WhenTrue)
+      if (eval::truthy(*V, Cond->Type) == WhenTrue)
         Back.jump(Target);
       return;
     }
@@ -1147,7 +960,7 @@ private:
       // Dead-branch elimination on run-time-constant conditions (§4.4).
       if (auto V = Rc.eval(S->E, false)) {
         ++PE.BranchesEliminated;
-        genStmt(V->truthy() ? S->S1 : S->S2);
+        genStmt(eval::truthy(*V, S->E->Type) ? S->S1 : S->S2);
         return;
       }
       if (S->S2) {
@@ -1188,8 +1001,8 @@ private:
         return;
       }
       if constexpr (TR::OnePass) {
-        if (RetType == EvalType::Int)
-          if (auto C = Rc.eval(S->E, false); C && !C->isFp()) {
+        if (RetType == EvalType::Int && S->E->Type != EvalType::Double)
+          if (auto C = Rc.eval(S->E, false)) {
             Back.retII(static_cast<std::int32_t>(C->I));
             return;
           }
@@ -1236,46 +1049,21 @@ private:
       Back.hint(Delta);
   }
 
-  /// Trip-count values of an unrollable loop, or nullopt.
+  /// The induction variable's value on each trip of an unrollable loop,
+  /// or nullopt past \p Limit trips. Bound test and step are the rolled
+  /// loop's: at the variable's type \p T, wrapping at its width.
   std::optional<ArenaVector<std::int64_t>>
-  unrollValues(std::int64_t Init, CmpKind K, std::int64_t Bound,
+  unrollValues(EvalType T, std::int64_t Init, CmpKind K, std::int64_t Bound,
                std::int64_t Step, std::uint64_t Limit) {
     if (Step == 0)
       return std::nullopt;
     ArenaVector<std::int64_t> Values(ScratchArena);
-    std::int64_t V = Init;
-    auto Holds = [&](std::int64_t X) {
-      auto UX = static_cast<std::uint64_t>(X),
-           UB = static_cast<std::uint64_t>(Bound);
-      switch (K) {
-      case CmpKind::LtS:
-        return X < Bound;
-      case CmpKind::LeS:
-        return X <= Bound;
-      case CmpKind::GtS:
-        return X > Bound;
-      case CmpKind::GeS:
-        return X >= Bound;
-      case CmpKind::Ne:
-        return X != Bound;
-      case CmpKind::Eq:
-        return X == Bound;
-      case CmpKind::LtU:
-        return UX < UB;
-      case CmpKind::LeU:
-        return UX <= UB;
-      case CmpKind::GtU:
-        return UX > UB;
-      case CmpKind::GeU:
-        return UX >= UB;
-      }
-      return false;
-    };
-    while (Holds(V)) {
+    Value V{eval::canon(Init, T)}, B{eval::canon(Bound, T)};
+    while (eval::compare(K, T, V, B)) {
       if (Values.size() > Limit)
         return std::nullopt;
-      Values.push_back(V);
-      V += Step;
+      Values.push_back(V.I);
+      V.I = eval::add(V.I, Step, T);
     }
     return Values;
   }
@@ -1313,21 +1101,23 @@ private:
     auto IV = Rc.eval(S->E, false);
     auto BV = Rc.eval(S->E2, false);
     auto SV = Rc.eval(S->E3, false);
-    if (!SkipUnroll && IV && BV && SV && !IV->isFp() && !BV->isFp() &&
-        !SV->isFp() && !(S->Flags & (SF_BodyAssignsVar | SF_HasEscape))) {
-      if (auto Values = unrollValues(IV->I, K, BV->I, SV->I, EffLimit)) {
+    EvalType VarT = Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type;
+    if (!SkipUnroll && IV && BV && SV && S->E->Type != EvalType::Double &&
+        S->E2->Type != EvalType::Double && S->E3->Type != EvalType::Double &&
+        !(S->Flags & (SF_BodyAssignsVar | SF_HasEscape))) {
+      if (auto Values =
+              unrollValues(VarT, IV->I, K, BV->I, SV->I, EffLimit)) {
         ++PE.LoopsUnrolled;
-        EvalType VarT =
-            Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type;
         for (std::int64_t V : *Values) {
-          Rc.bind(S->LocalId, RcVal::ofInt(V, VarT)); // Derived rt const.
+          Rc.bind(S->LocalId, Value{V}); // Derived run-time constant.
           genStmt(S->S1);
         }
         Rc.unbind(S->LocalId);
         // The induction variable's final value is observable after the
         // loop; materialize it.
-        std::int64_t Final =
-            Values->empty() ? IV->I : Values->back() + SV->I;
+        std::int64_t Final = Values->empty()
+                                 ? IV->I
+                                 : eval::add(Values->back(), SV->I, VarT);
         int Loc = localLoc(S->LocalId);
         if (VarT == EvalType::Int)
           Back.setI(Loc, static_cast<std::int32_t>(Final));
@@ -1339,9 +1129,7 @@ private:
 
     // Runtime loop: V = init; head: if (!(V K bound)) goto end;
     // body; cont: V += step; goto head; end:
-    bool VarIsLong =
-        Ctx.locals()[static_cast<std::size_t>(S->LocalId)].Type !=
-        EvalType::Int;
+    bool VarIsLong = VarT != EvalType::Int;
     int Loc = localLoc(S->LocalId);
     {
       Val Init = genExpr(S->E);

@@ -1,12 +1,14 @@
 //===- core/SpecInterp.cpp - Spec-tree interpreter (tier 0) ---------------==//
 //
-// Executes specification trees directly, mirroring the semantics the
-// compiled back ends implement: canonical Int values are sign-extended
-// 32-bit, division follows x86 idiv (SIGFPE on the trap cases), shifts mask
-// their count, and the For statement re-tests its bound and applies its
-// step exactly like the emitted runtime loop. Where the instantiation-time
-// RcEvaluator and the generated code agree, this interpreter agrees with
-// both — that is the tier-0 contract the differential test pins.
+// Executes specification trees directly. What each operator computes —
+// loads and stores, truthiness, unary, binary and compare, the idiv trap,
+// the For loop's bound test and wrapping step — comes from core/Eval.h, the
+// same core the instantiation-time folder in Compile.cpp uses, so a value
+// folded into code, computed by that code, and computed here are one value.
+// This file keeps only the tree recursion and its tier-0 policy: calls,
+// profile hooks, and SIGFPE where the core reports a trap. The
+// operator-grid test pins every operator and type against VCODE, PCODE and
+// ICODE; the differential test pins whole random programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,16 +18,11 @@
 #include <cassert>
 #include <csignal>
 #include <cstring>
-#include <limits>
 
 using namespace tcc;
 using namespace tcc::core;
 
 namespace {
-
-inline std::int64_t sext32(std::int64_t V) {
-  return static_cast<std::int32_t>(V);
-}
 
 /// Dispatch ladder for live calls: the supported (int-class, double)
 /// argument-count grid, called through an all-ints-then-doubles prototype —
@@ -115,11 +112,6 @@ Tier0ProfileSnapshot core::snapshotTier0(const Tier0Profile &P) {
 //===----------------------------------------------------------------------===//
 // SpecInterp
 //===----------------------------------------------------------------------===//
-
-struct SpecInterp::Val {
-  std::int64_t I = 0;
-  double D = 0;
-};
 
 struct SpecInterp::Frame {
   std::int64_t *L;
@@ -276,38 +268,30 @@ void SpecInterp::indexExpr(const ExprNode *N,
     indexExpr(N->ArgV[I], ForStack);
 }
 
-namespace {
-
-inline bool valTruthy(std::int64_t I, double D, EvalType T) {
-  return T == EvalType::Double ? D != 0 : I != 0;
-}
-
-} // namespace
-
-SpecInterp::Val SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
+Value SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
   std::int64_t IA[8];
   double FA[8];
   unsigned NI = 0, ND = 0;
   const void *Fn = N->PtrVal;
   if (!Fn) {
-    Val T = evalExpr(N->A, F);
+    Value T = evalExpr(N->A, F);
     Fn = reinterpret_cast<const void *>(static_cast<std::uintptr_t>(T.I));
   }
   for (std::uint32_t I = 0; I < N->ArgC; ++I) {
     const ExprNode *Arg = N->ArgV[I];
-    Val V = evalExpr(Arg, F);
+    Value V = evalExpr(Arg, F);
     if (Arg->Type == EvalType::Double)
       FA[ND++] = V.D;
     else
       IA[NI++] = V.I;
   }
-  Val R;
+  Value R;
   switch (N->Type) {
   case EvalType::Void:
     callSig<void>(Fn, IA, NI, FA, ND);
     break;
   case EvalType::Int:
-    R.I = sext32(callSig<std::int32_t>(Fn, IA, NI, FA, ND));
+    R.I = callSig<std::int32_t>(Fn, IA, NI, FA, ND);
     break;
   case EvalType::Double:
     R.D = callSig<double>(Fn, IA, NI, FA, ND);
@@ -319,92 +303,29 @@ SpecInterp::Val SpecInterp::evalCall(const ExprNode *N, Frame &F) const {
   return R;
 }
 
-SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
-  Val R;
+Value SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
   switch (N->Kind) {
   case ExprKind::ConstInt:
-    R.I = sext32(N->IntVal);
-    return R;
   case ExprKind::ConstLong:
-    R.I = N->IntVal;
-    return R;
+    return Value{eval::canon(N->IntVal, N->Type)};
   case ExprKind::ConstDouble:
-    R.D = N->FpVal;
-    return R;
-  case ExprKind::FreeVar: {
-    const void *P = N->PtrVal;
-    switch (static_cast<MemType>(N->OpByte)) {
-    case MemType::I8:
-      R.I = *static_cast<const std::int8_t *>(P);
-      break;
-    case MemType::U8:
-      R.I = *static_cast<const std::uint8_t *>(P);
-      break;
-    case MemType::I16:
-      R.I = *static_cast<const std::int16_t *>(P);
-      break;
-    case MemType::U16:
-      R.I = *static_cast<const std::uint16_t *>(P);
-      break;
-    case MemType::I32:
-      R.I = *static_cast<const std::int32_t *>(P);
-      break;
-    case MemType::I64:
-      R.I = *static_cast<const std::int64_t *>(P);
-      break;
-    case MemType::P64:
-      R.I = static_cast<std::int64_t>(
-          *static_cast<const std::uintptr_t *>(P));
-      break;
-    case MemType::F64:
-      R.D = *static_cast<const double *>(P);
-      break;
-    }
-    return R;
-  }
+    return Value{0, N->FpVal};
+  case ExprKind::FreeVar:
+    return eval::load(N->PtrVal, static_cast<MemType>(N->OpByte));
   case ExprKind::Local: {
     std::size_t Id = static_cast<std::size_t>(N->LocalId);
     if (LocalTypes[Id] == EvalType::Double)
-      R.D = F.F[Id];
-    else
-      R.I = F.L[Id];
-    return R;
+      return Value{0, F.F[Id]};
+    return Value{F.L[Id]};
   }
   case ExprKind::Load: {
-    Val A = evalExpr(N->A, F);
-    const void *P =
-        reinterpret_cast<const void *>(static_cast<std::uintptr_t>(A.I));
-    switch (static_cast<MemType>(N->OpByte)) {
-    case MemType::I8:
-      R.I = *static_cast<const std::int8_t *>(P);
-      break;
-    case MemType::U8:
-      R.I = *static_cast<const std::uint8_t *>(P);
-      break;
-    case MemType::I16:
-      R.I = *static_cast<const std::int16_t *>(P);
-      break;
-    case MemType::U16:
-      R.I = *static_cast<const std::uint16_t *>(P);
-      break;
-    case MemType::I32:
-      R.I = *static_cast<const std::int32_t *>(P);
-      break;
-    case MemType::I64:
-      R.I = *static_cast<const std::int64_t *>(P);
-      break;
-    case MemType::P64:
-      R.I = static_cast<std::int64_t>(
-          *static_cast<const std::uintptr_t *>(P));
-      break;
-    case MemType::F64:
-      R.D = *static_cast<const double *>(P);
-      break;
-    }
-    return R;
+    Value A = evalExpr(N->A, F);
+    return eval::load(
+        reinterpret_cast<const void *>(static_cast<std::uintptr_t>(A.I)),
+        static_cast<MemType>(N->OpByte));
   }
   case ExprKind::RtEval: {
-    Val V = evalExpr(N->A, F);
+    Value V = evalExpr(N->A, F);
     if (Prof) {
       if (unsigned O = Slot[N->Ord]; O < Tier0Profile::MaxRtConsts) {
         std::uint64_t H;
@@ -424,221 +345,40 @@ SpecInterp::Val SpecInterp::evalExpr(const ExprNode *N, Frame &F) const {
     }
     return V;
   }
-  case ExprKind::Unary: {
-    Val V = evalExpr(N->A, F);
-    switch (static_cast<UnOp>(N->OpByte)) {
-    case UnOp::Neg:
-      if (N->Type == EvalType::Double)
-        R.D = -V.D;
-      else if (N->Type == EvalType::Int)
-        R.I = sext32(-V.I);
-      else
-        R.I = -V.I;
-      return R;
-    case UnOp::Not:
-      R.I = N->Type == EvalType::Int ? sext32(~V.I) : ~V.I;
-      return R;
-    case UnOp::LogNot:
-      R.I = valTruthy(V.I, V.D, N->A->Type) ? 0 : 1;
-      return R;
-    case UnOp::IntToDouble:
-    case UnOp::LongToDouble:
-      R.D = static_cast<double>(V.I);
-      return R;
-    case UnOp::DoubleToInt:
-      // cvttsd2si semantics: out-of-range and NaN produce the integer
-      // indefinite value.
-      if (V.D >= -2147483648.0 && V.D < 2147483648.0)
-        R.I = static_cast<std::int32_t>(V.D);
-      else
-        R.I = std::numeric_limits<std::int32_t>::min();
-      return R;
-    case UnOp::IntToLong:
-      R.I = V.I; // Already canonically sign-extended.
-      return R;
-    case UnOp::LongToInt:
-      R.I = sext32(V.I);
-      return R;
-    case UnOp::Bitcast:
-      R.I = V.I;
-      return R;
-    }
-    return R;
-  }
+  case ExprKind::Unary:
+    return eval::unary(static_cast<UnOp>(N->OpByte), N->Type,
+                       evalExpr(N->A, F));
   case ExprKind::Binary: {
     auto O = static_cast<BinOp>(N->OpByte);
+    Value A = evalExpr(N->A, F);
     if (O == BinOp::LogAnd || O == BinOp::LogOr) {
-      Val A = evalExpr(N->A, F);
-      bool AT = valTruthy(A.I, A.D, N->A->Type);
-      if (O == BinOp::LogAnd && !AT) {
-        R.I = 0;
-        return R;
-      }
-      if (O == BinOp::LogOr && AT) {
-        R.I = 1;
-        return R;
-      }
-      Val B = evalExpr(N->B, F);
-      R.I = valTruthy(B.I, B.D, N->B->Type) ? 1 : 0;
-      return R;
+      if (eval::truthy(A, N->A->Type) == (O == BinOp::LogOr))
+        return Value{O == BinOp::LogOr};
+      return Value{eval::truthy(evalExpr(N->B, F), N->B->Type)};
     }
-    Val A = evalExpr(N->A, F);
-    Val B = evalExpr(N->B, F);
-    if (N->Type == EvalType::Double) {
-      switch (O) {
-      case BinOp::Add:
-        R.D = A.D + B.D;
-        break;
-      case BinOp::Sub:
-        R.D = A.D - B.D;
-        break;
-      case BinOp::Mul:
-        R.D = A.D * B.D;
-        break;
-      case BinOp::Div:
-        R.D = A.D / B.D;
-        break;
-      default:
-        break;
-      }
-      return R;
-    }
-    std::int64_t X = A.I, Y = B.I, Res = 0;
-    bool Wide = N->Type != EvalType::Int;
-    std::int64_t TrapMin = Wide ? std::numeric_limits<std::int64_t>::min()
-                                : std::numeric_limits<std::int32_t>::min();
-    switch (O) {
-    case BinOp::Add:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) +
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Sub:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) -
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Mul:
-      Res = static_cast<std::int64_t>(static_cast<std::uint64_t>(X) *
-                                      static_cast<std::uint64_t>(Y));
-      break;
-    case BinOp::Div:
-      if (Y == 0 || (Y == -1 && X == TrapMin))
-        std::raise(SIGFPE); // Same trap the emitted idiv takes.
-      Res = X / Y;
-      break;
-    case BinOp::Mod:
-      if (Y == 0 || (Y == -1 && X == TrapMin))
-        std::raise(SIGFPE);
-      Res = X % Y;
-      break;
-    case BinOp::And:
-      Res = X & Y;
-      break;
-    case BinOp::Or:
-      Res = X | Y;
-      break;
-    case BinOp::Xor:
-      Res = X ^ Y;
-      break;
-    case BinOp::Shl:
-      Res = static_cast<std::int32_t>(static_cast<std::uint32_t>(X)
-                                      << (Y & 31));
-      break;
-    case BinOp::Shr:
-      Res = static_cast<std::int32_t>(X) >> (Y & 31);
-      break;
-    default:
-      break;
-    }
-    R.I = N->Type == EvalType::Int ? sext32(Res) : Res;
-    return R;
+    Value B = evalExpr(N->B, F);
+    if (eval::traps(O, N->Type, A, B))
+      std::raise(SIGFPE); // Same trap the emitted idiv takes.
+    return eval::binary(O, N->Type, A, B);
   }
   case ExprKind::Cmp: {
-    Val A = evalExpr(N->A, F);
-    Val B = evalExpr(N->B, F);
-    auto K = static_cast<CmpKind>(N->OpByte);
-    EvalType OpT = N->A->Type;
-    bool T = false;
-    if (OpT == EvalType::Double) {
-      double X = A.D, Y = B.D;
-      switch (K) {
-      case CmpKind::Eq:
-        T = X == Y;
-        break;
-      case CmpKind::Ne:
-        T = X != Y;
-        break;
-      case CmpKind::LtS:
-      case CmpKind::LtU:
-        T = X < Y;
-        break;
-      case CmpKind::LeS:
-      case CmpKind::LeU:
-        T = X <= Y;
-        break;
-      case CmpKind::GtS:
-      case CmpKind::GtU:
-        T = X > Y;
-        break;
-      case CmpKind::GeS:
-      case CmpKind::GeU:
-        T = X >= Y;
-        break;
-      }
-    } else {
-      // Canonical Int values are sign-extended, so 64-bit signed compare
-      // equals 32-bit signed compare, and 64-bit unsigned compare of two
-      // sign-extended values preserves 32-bit unsigned order.
-      std::int64_t X = A.I, Y = B.I;
-      auto UX = static_cast<std::uint64_t>(X);
-      auto UY = static_cast<std::uint64_t>(Y);
-      switch (K) {
-      case CmpKind::Eq:
-        T = X == Y;
-        break;
-      case CmpKind::Ne:
-        T = X != Y;
-        break;
-      case CmpKind::LtS:
-        T = X < Y;
-        break;
-      case CmpKind::LeS:
-        T = X <= Y;
-        break;
-      case CmpKind::GtS:
-        T = X > Y;
-        break;
-      case CmpKind::GeS:
-        T = X >= Y;
-        break;
-      case CmpKind::LtU:
-        T = UX < UY;
-        break;
-      case CmpKind::LeU:
-        T = UX <= UY;
-        break;
-      case CmpKind::GtU:
-        T = UX > UY;
-        break;
-      case CmpKind::GeU:
-        T = UX >= UY;
-        break;
-      }
-    }
-    R.I = T ? 1 : 0;
-    return R;
+    Value A = evalExpr(N->A, F);
+    Value B = evalExpr(N->B, F);
+    return Value{
+        eval::compare(static_cast<CmpKind>(N->OpByte), N->A->Type, A, B)};
   }
   case ExprKind::Cond: {
-    Val C = evalExpr(N->A, F);
-    return evalExpr(valTruthy(C.I, C.D, N->A->Type) ? N->B : N->C, F);
+    Value C = evalExpr(N->A, F);
+    return evalExpr(eval::truthy(C, N->A->Type) ? N->B : N->C, F);
   }
   case ExprKind::Call:
     return evalCall(N, F);
   }
-  return R;
+  return Value{};
 }
 
 SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
-                                      Val &Ret) const {
+                                      Value &Ret) const {
   switch (S->Kind) {
   case StmtKind::Block:
     for (std::uint32_t I = 0; I < S->BodyC; ++I) {
@@ -651,43 +391,23 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     (void)evalExpr(S->E, F);
     return Flow::Next;
   case StmtKind::AssignLocal: {
-    Val V = evalExpr(S->E, F);
+    Value V = evalExpr(S->E, F);
     std::size_t Id = static_cast<std::size_t>(S->LocalId);
     if (LocalTypes[Id] == EvalType::Double)
       F.F[Id] = V.D;
     else
-      F.L[Id] = LocalTypes[Id] == EvalType::Int ? sext32(V.I) : V.I;
+      F.L[Id] = eval::canon(V.I, LocalTypes[Id]);
     return Flow::Next;
   }
   case StmtKind::Store: {
-    Val A = evalExpr(S->E, F);
-    Val V = evalExpr(S->E2, F);
-    void *P = reinterpret_cast<void *>(static_cast<std::uintptr_t>(A.I));
-    switch (static_cast<MemType>(S->OpByte)) {
-    case MemType::I8:
-    case MemType::U8:
-      *static_cast<std::int8_t *>(P) = static_cast<std::int8_t>(V.I);
-      break;
-    case MemType::I16:
-    case MemType::U16:
-      *static_cast<std::int16_t *>(P) = static_cast<std::int16_t>(V.I);
-      break;
-    case MemType::I32:
-      *static_cast<std::int32_t *>(P) = static_cast<std::int32_t>(V.I);
-      break;
-    case MemType::I64:
-    case MemType::P64:
-      *static_cast<std::int64_t *>(P) = V.I;
-      break;
-    case MemType::F64:
-      *static_cast<double *>(P) = V.D;
-      break;
-    }
+    Value A = evalExpr(S->E, F);
+    Value V = evalExpr(S->E2, F);
+    eval::store(reinterpret_cast<void *>(static_cast<std::uintptr_t>(A.I)),
+                static_cast<MemType>(S->OpByte), V);
     return Flow::Next;
   }
   case StmtKind::If: {
-    Val C = evalExpr(S->E, F);
-    bool Taken = valTruthy(C.I, C.D, S->E->Type);
+    bool Taken = eval::truthy(evalExpr(S->E, F), S->E->Type);
     if (Prof) {
       if (unsigned O = Slot[S->Ord]; O < Tier0Profile::MaxBranches) {
         Tier0Profile::BranchStat &BS = Prof->Branches[O];
@@ -701,8 +421,7 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
   }
   case StmtKind::While:
     for (;;) {
-      Val C = evalExpr(S->E, F);
-      if (!valTruthy(C.I, C.D, S->E->Type))
+      if (!eval::truthy(evalExpr(S->E, F), S->E->Type))
         return Flow::Next;
       Flow Fl = execStmt(S->S1, F, Ret);
       if (Fl == Flow::Break)
@@ -714,51 +433,15 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
     }
   case StmtKind::For: {
     std::size_t Id = static_cast<std::size_t>(S->LocalId);
-    bool WideIV = LocalTypes[Id] != EvalType::Int;
-    Val Init = evalExpr(S->E, F);
-    F.L[Id] = WideIV ? Init.I : sext32(Init.I);
+    EvalType VarT = LocalTypes[Id];
+    F.L[Id] = eval::canon(evalExpr(S->E, F).I, VarT);
     auto K = static_cast<CmpKind>(S->OpByte);
     std::uint64_t Trips = 0;
     Flow Out = Flow::Next;
     for (;;) {
-      Val Bound = evalExpr(S->E2, F);
-      std::int64_t V = F.L[Id], BV = Bound.I;
-      bool Stay;
-      auto UV = static_cast<std::uint64_t>(V);
-      auto UB = static_cast<std::uint64_t>(BV);
-      switch (K) {
-      case CmpKind::Eq:
-        Stay = V == BV;
-        break;
-      case CmpKind::Ne:
-        Stay = V != BV;
-        break;
-      case CmpKind::LtS:
-        Stay = V < BV;
-        break;
-      case CmpKind::LeS:
-        Stay = V <= BV;
-        break;
-      case CmpKind::GtS:
-        Stay = V > BV;
-        break;
-      case CmpKind::GeS:
-        Stay = V >= BV;
-        break;
-      case CmpKind::LtU:
-        Stay = UV < UB;
-        break;
-      case CmpKind::LeU:
-        Stay = UV <= UB;
-        break;
-      case CmpKind::GtU:
-        Stay = UV > UB;
-        break;
-      case CmpKind::GeU:
-        Stay = UV >= UB;
-        break;
-      }
-      if (!Stay)
+      // Bound test and step at the variable's type, like the emitted loop.
+      Value Bound{eval::canon(evalExpr(S->E2, F).I, VarT)};
+      if (!eval::compare(K, VarT, Value{F.L[Id]}, Bound))
         break;
       ++Trips;
       Flow Fl = execStmt(S->S1, F, Ret);
@@ -769,11 +452,7 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
         break;
       }
       // Continue lands on the step, exactly like the emitted Cont label.
-      Val Step = evalExpr(S->E3, F);
-      std::int64_t NV = static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(F.L[Id]) +
-          static_cast<std::uint64_t>(Step.I));
-      F.L[Id] = WideIV ? NV : sext32(NV);
+      F.L[Id] = eval::add(F.L[Id], evalExpr(S->E3, F).I, VarT);
     }
     if (Prof) {
       if (unsigned O = Slot[S->Ord]; O < Tier0Profile::MaxLoops) {
@@ -805,8 +484,8 @@ SpecInterp::Flow SpecInterp::execStmt(const StmtNode *S, Frame &F,
   return Flow::Next;
 }
 
-InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
-                             const double *FpArgs, unsigned NumFp) const {
+Value SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
+                      const double *FpArgs, unsigned NumFp) const {
   // Only the spec's own locals are ever read: clear those, not the whole
   // MaxLocals frame.
   std::int64_t L[MaxLocals];
@@ -821,17 +500,11 @@ InterpResult SpecInterp::run(const std::int64_t *IntArgs, unsigned NumInt,
     } else {
       std::int64_t V =
           static_cast<unsigned>(P.ArgIndex) < NumInt ? IntArgs[P.ArgIndex] : 0;
-      L[P.LocalId] = P.Type == EvalType::Int ? sext32(V) : V;
+      L[P.LocalId] = eval::canon(V, P.Type);
     }
   }
-  Val Ret;
+  Value Ret;
   (void)execStmt(Root, F, Ret);
-  InterpResult R;
-  if (RetType == EvalType::Double)
-    R.D = Ret.D;
-  else if (RetType == EvalType::Int)
-    R.I = sext32(Ret.I);
-  else
-    R.I = Ret.I;
-  return R;
+  return RetType == EvalType::Double ? Value{0, Ret.D}
+                                     : Value{eval::canon(Ret.I, RetType)};
 }

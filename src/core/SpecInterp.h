@@ -8,10 +8,12 @@
 /// \file
 /// Tier 0 of the serving path: a direct interpreter over specification
 /// trees. Where instantiation walks a cspec to *generate* code, SpecInterp
-/// walks the same nodes to *execute* them — one semantics, zero compile
-/// latency. The tier manager hands out an interpreted closure immediately,
-/// compiles the PCODE baseline in the background, and swaps the entry
-/// pointer when machine code lands (tier/Tier.h).
+/// walks the same nodes to *execute* them — zero compile latency, and one
+/// semantics: every operator is evaluated by core/Eval.h, the core the
+/// instantiation-time constant folder shares. The tier manager hands out an
+/// interpreted closure immediately, compiles the PCODE baseline in the
+/// background, and swaps the entry pointer when machine code lands
+/// (tier/Tier.h).
 ///
 /// While interpreting, cheap profile signals accumulate in a Tier0Profile:
 /// per-loop trip counts, taken-branch counts, and observed `$`-expression
@@ -27,6 +29,7 @@
 #define TICKC_CORE_SPECINTERP_H
 
 #include "core/Context.h"
+#include "core/Eval.h"
 
 #include <atomic>
 #include <cstdint>
@@ -111,13 +114,6 @@ Tier0ProfileSnapshot snapshotTier0(const Tier0Profile &P);
 /// back to the synchronous baseline. Runs SpecInterp's construction walk.
 bool specInterpretable(const Context &Ctx, Stmt Body, EvalType RetType);
 
-/// The value a run produced: I for Int/Long/Ptr returns (Int values are
-/// sign-extended int32), D for Double, both zero for Void / fall-off.
-struct InterpResult {
-  std::int64_t I = 0;
-  double D = 0;
-};
-
 /// An executable view of one specification tree. Construction walks the
 /// tree once (ordinal assignment, fold-critical analysis); run() is
 /// reentrant and thread-safe — each call carries its own frame, and all
@@ -138,9 +134,10 @@ public:
 
   /// Executes the spec. \p IntArgs are the integer-class parameters in
   /// SysV order (Int/Long/Ptr share the sequence), \p FpArgs the doubles —
-  /// the same split the compiled calling convention uses.
-  InterpResult run(const std::int64_t *IntArgs, unsigned NumInt,
-                   const double *FpArgs, unsigned NumFp) const;
+  /// the same split the compiled calling convention uses. The result is
+  /// the return value at RetType; all zeros for Void or a fall-off.
+  Value run(const std::int64_t *IntArgs, unsigned NumInt,
+            const double *FpArgs, unsigned NumFp) const;
 
   /// True when the construction walk found the spec within the
   /// interpreter's envelope (the verdict specInterpretable() returns), so
@@ -192,11 +189,10 @@ private:
   std::vector<ParamBind> Params;
 
   struct Frame;
-  struct Val;
   enum class Flow : std::uint8_t;
-  Val evalExpr(const ExprNode *N, Frame &F) const;
-  Val evalCall(const ExprNode *N, Frame &F) const;
-  Flow execStmt(const StmtNode *S, Frame &F, Val &Ret) const;
+  Value evalExpr(const ExprNode *N, Frame &F) const;
+  Value evalCall(const ExprNode *N, Frame &F) const;
+  Flow execStmt(const StmtNode *S, Frame &F, Value &Ret) const;
 };
 
 } // namespace core

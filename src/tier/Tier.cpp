@@ -70,10 +70,9 @@ bool TieredFn::waitCompiled(std::chrono::milliseconds Timeout) const {
   return compiled();
 }
 
-core::InterpResult TieredFn::dispatchInterp(const std::int64_t *IntArgs,
-                                            unsigned NumInt,
-                                            const double *FpArgs,
-                                            unsigned NumFp) const {
+core::Value TieredFn::dispatchInterp(const std::int64_t *IntArgs,
+                                     unsigned NumInt, const double *FpArgs,
+                                     unsigned NumFp) const {
   static obs::Counter &C = counter(obs::names::Tier0Invocations);
   C.inc();
   Prof->Invocations.fetch_add(1, std::memory_order_relaxed);

@@ -191,9 +191,8 @@ public:
   /// Implementation detail of call<>'s interpreted path: counts the
   /// dispatch and runs the spec-tree interpreter. Public only for
   /// detail::InterpMarshal.
-  core::InterpResult dispatchInterp(const std::int64_t *IntArgs,
-                                    unsigned NumInt, const double *FpArgs,
-                                    unsigned NumFp) const;
+  core::Value dispatchInterp(const std::int64_t *IntArgs, unsigned NumInt,
+                             const double *FpArgs, unsigned NumFp) const;
 
 private:
   friend class TierManager;
@@ -297,7 +296,7 @@ template <typename R, typename... Ps> struct InterpMarshal<R(Ps...)> {
         IA[NI++] = static_cast<std::int64_t>(V);
     };
     (Put(Args), ...);
-    core::InterpResult Res = TF.dispatchInterp(IA, NI, FA, ND);
+    core::Value Res = TF.dispatchInterp(IA, NI, FA, ND);
     if constexpr (std::is_void_v<R>)
       return;
     else if constexpr (std::is_floating_point_v<R>)

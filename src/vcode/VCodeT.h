@@ -965,10 +965,6 @@ public:
       movI(D, A);
       return;
     }
-    if (Imm == -1) {
-      negI(D, A);
-      return;
-    }
     if (Imm > 1 && std::has_single_bit(static_cast<std::uint32_t>(Imm))) {
       // Signed division by 2^k with the rounding-toward-zero bias:
       //   d = (a + ((a >> 31) >>> (32-k))) >> k.
@@ -995,7 +991,9 @@ public:
     // General divisors: Granlund/Montgomery magic-number multiplication —
     // the natural endpoint of the paper's "emit different machine
     // instructions depending on the value of the immediate operand".
-    if (Imm != 0 && Imm != INT32_MIN) {
+    // 0 and -1 keep idiv, whose trap (x / 0, INT32_MIN / -1) is the
+    // operation's meaning; INT32_MIN has no magic number.
+    if (Imm != 0 && Imm != -1 && Imm != INT32_MIN) {
       auto [Magic, Shift] = signedDivisionMagic(Imm);
       x86::GPR Pa = srcI(A, detail::ScratchA);
       // rdx:rax = magic * a (signed 64-bit via imul on sign-extended values).

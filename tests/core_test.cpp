@@ -8,9 +8,13 @@
 
 #include "core/Compile.h"
 #include "core/Context.h"
+#include "core/SpecInterp.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstring>
 #include <random>
 #include <string>
@@ -581,6 +585,64 @@ TEST(CoreOptions, GraphColorBackendWorks) {
   CompiledFn F =
       compileFn(C, C.ret(Expr(A) * C.intConst(3)), EvalType::Int, O);
   EXPECT_EQ(F.as<int(int)>()(14), 42);
+}
+
+// --- Unrolling steps at the induction variable's width ---------------------
+
+std::uint64_t loopsUnrolled() {
+  return obs::MetricsRegistry::global()
+      .counter(obs::names::LoopsUnrolled)
+      .value();
+}
+
+const BackendKind AllBackends[] = {BackendKind::VCode, BackendKind::PCode,
+                                   BackendKind::ICode};
+
+TEST(CoreUnroll, WrappingInductionVariableIsNotUnrolled) {
+  // for (i = INT_MIN + 1; i >=s INT_MIN; i += -1) n++;  — the step from
+  // INT_MIN wraps to INT_MAX, which still holds, so the rolled loop never
+  // exits. Unrolling must see the same: it runs past the unroll limit and
+  // keeps the loop rolled (the loop is compiled, never run).
+  for (BackendKind BK : AllBackends) {
+    Context C;
+    VSpec I = C.localInt(), N = C.localInt();
+    Stmt Body = C.block(
+        {C.assign(N, C.intConst(0)),
+         C.forStmt(I, C.intConst(INT_MIN + 1), vcode::CmpKind::GeS,
+                   C.intConst(INT_MIN), C.intConst(-1),
+                   C.assign(N, Expr(N) + C.intConst(1))),
+         C.ret(N)});
+    CompileOptions O;
+    O.Backend = BK;
+    std::uint64_t Before = loopsUnrolled();
+    CompiledFn F = compileFn(C, Body, EvalType::Int, O);
+    ASSERT_TRUE(F.valid());
+    EXPECT_EQ(loopsUnrolled() - Before, 0u) << static_cast<int>(BK);
+  }
+}
+
+TEST(CoreUnroll, LoopEndingAtIntMaxUnrollsWithTierZerosTripCount) {
+  // for (i = INT_MAX - 3; i <s INT_MAX; i += 1) n++;  return n + 100 *
+  // (i == INT_MAX) — three trips, and the final value is INT_MAX.
+  for (BackendKind BK : AllBackends) {
+    Context C;
+    VSpec I = C.localInt(), N = C.localInt();
+    Stmt Body = C.block(
+        {C.assign(N, C.intConst(0)),
+         C.forStmt(I, C.intConst(INT_MAX - 3), vcode::CmpKind::LtS,
+                   C.intConst(INT_MAX), C.intConst(1),
+                   C.assign(N, Expr(N) + C.intConst(1))),
+         C.ret(Expr(N) + (Expr(I) == C.intConst(INT_MAX)) * C.intConst(100))});
+    CompileOptions O;
+    O.Backend = BK;
+    std::uint64_t Before = loopsUnrolled();
+    CompiledFn F = compileFn(C, Body, EvalType::Int, O);
+    EXPECT_EQ(loopsUnrolled() - Before, 1u) << static_cast<int>(BK);
+    SpecInterp Interp(C, Body, EvalType::Int);
+    ASSERT_TRUE(Interp.ok());
+    EXPECT_EQ(Interp.run(nullptr, 0, nullptr, 0).I, 103);
+    EXPECT_EQ(F.as<int()>()(), 103) << static_cast<int>(BK);
+  }
 }
 
 } // namespace

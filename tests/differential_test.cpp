@@ -1,6 +1,7 @@
 //===- tests/differential_test.cpp - Cross-backend differential fuzzing ---===//
 //
-// Generates random structured programs (locals, arithmetic, nested ifs and
+// Generates random structured programs (locals; +, -, *, ^, /, %, <<, >>,
+// unary -, ~, !, ?: and `$` over constant subexpressions; nested ifs and
 // bounded loops) and checks that every configuration of the system — the
 // tier-0 spec-tree interpreter, VCODE, PCODE (copy-and-patch), ICODE with
 // linear scan, ICODE with graph coloring, and both spill heuristics —
@@ -40,9 +41,34 @@ using namespace tcc::core;
 namespace {
 
 /// A tiny program generator that builds the same computation twice: once
-/// as a cspec tree and once as a host-side closure ("the reference").
+/// as a cspec tree and once as a host-side closure ("the reference"). The
+/// reference is plain C++ on int32 values with wrapping unsigned arithmetic,
+/// so it is free of undefined behaviour by construction.
 class ProgramGen {
 public:
+  /// The expression operators the generator draws from; each must be drawn
+  /// at least once per test run (Seen).
+  enum Kind {
+    KAdd,
+    KSub,
+    KMul,
+    KXor,
+    KDiv,
+    KMod,
+    KShl,
+    KShr,
+    KNeg,
+    KNot,
+    KLogNot,
+    KCond,
+    KRtEval,
+    NumKinds
+  };
+  static constexpr const char *KindNames[NumKinds] = {
+      "add", "sub", "mul", "xor",    "div",  "mod",   "shl",
+      "shr", "neg", "not", "lognot", "cond", "rteval"};
+  unsigned Seen[NumKinds] = {};
+
   ProgramGen(Context &C, std::mt19937 &Rng) : C(C), Rng(Rng) {
     // Two int parameters plus a handful of int locals.
     Params[0] = C.paramInt(0);
@@ -73,9 +99,9 @@ public:
     Ref.assign(Locals.size(), 0);
     for (auto &Step : Trace)
       Step();
-    long long Acc = 0;
+    std::int32_t Acc = 0;
     for (std::size_t I = 0; I < Ref.size(); ++I)
-      Acc = wrap(Acc * 31 + Ref[I]);
+      Acc = add(mul(Acc, 31), Ref[I]);
     return Acc;
   }
 
@@ -88,54 +114,97 @@ public:
   }
 
 private:
-  static long long wrap(long long V) {
-    return static_cast<long long>(static_cast<std::int32_t>(V));
+  static std::int32_t add(std::int32_t A, std::int32_t B) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(A) +
+                                     static_cast<std::uint32_t>(B));
+  }
+  static std::int32_t sub(std::int32_t A, std::int32_t B) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(A) -
+                                     static_cast<std::uint32_t>(B));
+  }
+  static std::int32_t mul(std::int32_t A, std::int32_t B) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(A) *
+                                     static_cast<std::uint32_t>(B));
   }
 
   /// A random int expression over params/locals/constants, with a
   /// host-side evaluator captured into EvalFns.
   struct GenExpr {
     Expr E;
-    std::function<long long()> Eval;
+    std::function<std::int32_t()> Eval;
   };
 
-  GenExpr genExpr(unsigned Depth) {
+  /// With \p ConstOnly the leaves are constants only: the operand of a `$`
+  /// (rtEval), folded at instantiation.
+  GenExpr genExpr(unsigned Depth, bool ConstOnly = false) {
     unsigned Sel = Rng() % (Depth == 0 ? 3 : 5);
+    if (ConstOnly && Sel < 3)
+      Sel = 0;
     switch (Sel) {
     case 0: {
       int V = static_cast<int>(Rng() % 200) - 100;
-      return {C.intConst(V), [V] { return static_cast<long long>(V); }};
+      return {C.intConst(V), [V] { return V; }};
     }
     case 1: {
       std::size_t P = Rng() % 2;
-      return {Expr(Params[P]), [this, P] {
-                return static_cast<long long>(Args[P]);
-              }};
+      return {Expr(Params[P]), [this, P] { return Args[P]; }};
     }
     case 2: {
       std::size_t L = Rng() % Locals.size();
-      return {Expr(Locals[L]), [this, L] {
-                return static_cast<long long>(Ref[L]);
-              }};
+      return {Expr(Locals[L]), [this, L] { return Ref[L]; }};
     }
+    default:
+      break;
+    }
+    auto K = static_cast<Kind>(Rng() % NumKinds);
+    ++Seen[K];
+    if (K == KRtEval) {
+      // `$` over a constant subexpression, folded at instantiation.
+      GenExpr R = genExpr(Depth - 1, /*ConstOnly=*/true);
+      return {C.rtEval(R.E), R.Eval};
+    }
+    GenExpr A = genExpr(Depth - 1, ConstOnly);
+    switch (K) {
+    case KNeg:
+      return {-A.E, [A] { return sub(0, A.Eval()); }};
+    case KNot:
+      return {C.bitNot(A.E), [A] { return ~A.Eval(); }};
+    case KLogNot:
+      return {!A.E, [A] { return std::int32_t(A.Eval() == 0); }};
+    default:
+      break;
+    }
+    GenExpr B = genExpr(Depth - 1, ConstOnly);
+    switch (K) {
+    case KAdd:
+      return {A.E + B.E, [A, B] { return add(A.Eval(), B.Eval()); }};
+    case KSub:
+      return {A.E - B.E, [A, B] { return sub(A.Eval(), B.Eval()); }};
+    case KMul:
+      return {A.E * B.E, [A, B] { return mul(A.Eval(), B.Eval()); }};
+    case KXor:
+      return {A.E ^ B.E, [A, B] { return A.Eval() ^ B.Eval(); }};
+    case KDiv:
+    case KMod: {
+      // An odd divisor in 1..255: never zero, never -1.
+      Expr D = (B.E & C.intConst(0xff)) | C.intConst(1);
+      auto Dv = [B] { return (B.Eval() & 0xff) | 1; };
+      if (K == KDiv)
+        return {A.E / D, [A, Dv] { return A.Eval() / Dv(); }};
+      return {A.E % D, [A, Dv] { return A.Eval() % Dv(); }};
+    }
+    case KShl:
+      return {A.E << B.E, [A, B] {
+                return static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(A.Eval()) << (B.Eval() & 31));
+              }};
+    case KShr:
+      return {A.E >> B.E, [A, B] { return A.Eval() >> (B.Eval() & 31); }};
     default: {
-      GenExpr A = genExpr(Depth - 1);
-      GenExpr B = genExpr(Depth - 1);
-      switch (Rng() % 4) {
-      case 0:
-        return {A.E + B.E,
-                [A, B] { return wrap(A.Eval() + B.Eval()); }};
-      case 1:
-        return {A.E - B.E,
-                [A, B] { return wrap(A.Eval() - B.Eval()); }};
-      case 2:
-        return {A.E * B.E, [A, B] {
-                  return wrap(static_cast<long long>(A.Eval()) * B.Eval());
-                }};
-      default:
-        return {A.E ^ B.E,
-                [A, B] { return wrap(A.Eval() ^ B.Eval()); }};
-      }
+      // KCond: A ? B : E.
+      GenExpr E = genExpr(Depth - 1, ConstOnly);
+      return {C.cond(A.E, B.E, E.E),
+              [A, B, E] { return A.Eval() ? B.Eval() : E.Eval(); }};
     }
     }
   }
@@ -146,9 +215,7 @@ private:
       // local = expr
       std::size_t L = Rng() % Locals.size();
       GenExpr E = genExpr(2);
-      Trace.push_back([this, L, E] {
-        Ref[L] = static_cast<std::int32_t>(E.Eval());
-      });
+      Trace.push_back([this, L, E] { Ref[L] = E.Eval(); });
       return C.assign(Locals[L], E.E);
     }
     if (Sel == 1) {
@@ -177,7 +244,7 @@ private:
     Stmt Body = C.assign(Locals[L], Expr(Locals[L]) + Delta.E);
     Trace.push_back([this, L, Delta, Count] {
       for (int K = 0; K < Count; ++K)
-        Ref[L] = static_cast<std::int32_t>(wrap(Ref[L] + Delta.Eval()));
+        Ref[L] = add(Ref[L], Delta.Eval());
     });
     return C.forStmt(I, C.intConst(0), vcode::CmpKind::LtS,
                      C.intConst(Count), C.intConst(1), Body);
@@ -208,11 +275,14 @@ TEST(Differential, AllConfigurationsAgree) {
   std::mt19937 Rng(20260707);
   const std::pair<int, int> Inputs[] = {
       {0, 0}, {1, -1}, {17, 5}, {-100, 99}, {12345, -777}};
+  unsigned Seen[ProgramGen::NumKinds] = {};
   for (int Trial = 0; Trial < 60; ++Trial) {
     std::mt19937 Replay = Rng;
     Context C;
     ProgramGen Gen(C, Rng);
     Stmt Body = Gen.build(3);
+    for (unsigned K = 0; K < ProgramGen::NumKinds; ++K)
+      Seen[K] += Gen.Seen[K];
     Stmt Fn = C.block({Body, C.ret(Gen.checksum())});
 
     // The same program rebuilt in a fresh Context is the same cache and
@@ -282,12 +352,15 @@ TEST(Differential, AllConfigurationsAgree) {
     for (auto [A0, A1] : Inputs) {
       long long Want = Gen.runReference(A0, A1);
       std::int64_t IA[2] = {A0, A1};
-      InterpResult R = Interp.run(IA, 2, nullptr, 0);
+      Value R = Interp.run(IA, 2, nullptr, 0);
       EXPECT_EQ(static_cast<int>(R.I), static_cast<int>(Want))
           << "trial " << Trial << " config interp args (" << A0 << ", " << A1
           << ")";
     }
   }
+  // Every operator kind took part in this run.
+  for (unsigned K = 0; K < ProgramGen::NumKinds; ++K)
+    EXPECT_GT(Seen[K], 0u) << "never generated: " << ProgramGen::KindNames[K];
 }
 
 // The tiered configuration: the same random programs dispatched through a
@@ -698,7 +771,7 @@ TEST(Reachability, ShapesAgreeOnEveryTier) {
       for (int X : ShapeInputs) {
         std::int64_t IA[1] = {X};
         VoidCell = 0;
-        InterpResult R = Interp.run(IA, 1, nullptr, 0);
+        Value R = Interp.run(IA, 1, nullptr, 0);
         double Got = Sh.RetType == EvalType::Double ? R.D
                      : Sh.RetType == EvalType::Void
                          ? VoidCell

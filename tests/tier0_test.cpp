@@ -252,7 +252,7 @@ TEST(Tier0, ProfileMeasuresTripCountsAndDecides) {
     Tier0Profile P;
     SpecInterp Interp(C, Body, EvalType::Int, &P);
     std::int64_t A = 7;
-    InterpResult R = Interp.run(&A, 1, nullptr, 0);
+    Value R = Interp.run(&A, 1, nullptr, 0);
     EXPECT_EQ(R.I, 84);
     ASSERT_EQ(P.NumLoops, 1u);
     EXPECT_EQ(P.Loops[0].Entries.load(), 1u);
