@@ -18,6 +18,12 @@
 //             actually remove (the compile itself).
 //   swap    — interpreted calls answered before the background baseline
 //             landed, and the creation -> swap latency the slot recorded.
+//   second  — TTFC of a cold spec whose shape the manager has seen once:
+//             one manager serves a first sight, then every sample, each in
+//             a fresh service so the spec is cold again. Shows what tier-0
+//             admission (ShapeCosts) does with the first sight's costs.
+//             Not gated. The ttfc gate above uses a fresh manager per
+//             sample, so it measures first sights only.
 //   steady  — post-promotion per-call cost of a tier-0-born slot vs a slot
 //             created with tier 0 disabled (today's path). Gate: within 5%
 //             on the batch (handle-entry) path, where both configurations
@@ -55,6 +61,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace tcc;
@@ -354,6 +361,43 @@ SwapStats swapBehavior(Workload &W, unsigned N) {
   return R;
 }
 
+struct SecondSight {
+  Dist Ttfc;
+  unsigned Tier0 = 0; ///< Samples that were still born interpreted.
+  unsigned N = 0;
+};
+
+SecondSight secondSight(Workload &W, unsigned N) {
+  SecondSight R;
+  std::vector<double> Samples;
+  TierManager TM(tierConfig(1u << 30));
+  for (unsigned I = 0; I <= N; ++I) {
+    CompileService S(serviceConfig(true));
+    std::uint64_t T0 = readMonotonicNanos();
+    TieredFnHandle TF = W.MakeSlot(S, TM);
+    Sink = Sink + W.CallSlot(*TF);
+    std::uint64_t T1 = readMonotonicNanos();
+    if (!TF->waitCompiled()) {
+      std::fprintf(stderr, "FAIL: %s baseline never landed\n",
+                   W.Name.c_str());
+      std::exit(1);
+    }
+    if (I > 0) { // Sample 0 is the first sight the manager learns from.
+      Samples.push_back(static_cast<double>(T1 - T0));
+      R.Tier0 += TF->isTier0();
+      ++R.N;
+    }
+    // The service must outlive every reference to the slot, the worker's
+    // included: it drops its own just after the swap.
+    std::weak_ptr<TieredFn> Gone = TF;
+    TF.reset();
+    while (!Gone.expired())
+      std::this_thread::yield();
+  }
+  R.Ttfc = distribution(Samples);
+  return R;
+}
+
 /// Per-call ns through \p Fn, measured in batches of \p K calls.
 Dist perCall(const std::function<int()> &Fn, unsigned Batches = 30,
              unsigned K = 2000) {
@@ -492,6 +536,7 @@ struct WorkloadResult {
   bool Tier0Eligible = false;
   Dist TtfcTier0, TtfcSync;
   SwapStats Swap;
+  SecondSight Second;
   SteadyResult SteadyTier0, SteadySync;
   double TtfcRatio = 0;   ///< tier0 / sync, p50.
   double SteadyRatio = 0; ///< tier0 / sync on the entry path, p50.
@@ -506,6 +551,9 @@ void report(const WorkloadResult &R) {
               "baseline landed in %.0f ns p50\n",
               R.Name.c_str(), R.Swap.Calls.P50, R.Swap.Calls.P99,
               R.Swap.SwapNs.P50);
+  std::printf("%-6s second sight: ttfc p50 %.0f ns, %u of %u born "
+              "interpreted\n",
+              R.Name.c_str(), R.Second.Ttfc.P50, R.Second.Tier0, R.Second.N);
   std::printf("%-6s steady p50/call: tier0 %.2f ns (slot %.2f), "
               "sync %.2f ns (slot %.2f) (tier0/sync = %.3fx)\n\n",
               R.Name.c_str(), R.SteadyTier0.Entry.P50, R.SteadyTier0.Slot.P50,
@@ -526,6 +574,8 @@ void emitJson(std::FILE *F, const WorkloadResult &R, bool Last) {
   emitDist(F, "ttfc_sync_ns", R.TtfcSync, ",");
   emitDist(F, "interpreted_calls_until_swap", R.Swap.Calls, ",");
   emitDist(F, "tier0_swap_latency_ns", R.Swap.SwapNs, ",");
+  emitDist(F, "ttfc_second_sight_ns", R.Second.Ttfc, ",");
+  std::fprintf(F, "     \"second_sight_tier0\": %u,\n", R.Second.Tier0);
   emitDist(F, "steady_tier0_ns_per_call", R.SteadyTier0.Entry, ",");
   emitDist(F, "steady_tier0_slot_ns_per_call", R.SteadyTier0.Slot, ",");
   emitDist(F, "steady_sync_ns_per_call", R.SteadySync.Entry, ",");
@@ -539,6 +589,7 @@ void emitJson(std::FILE *F, const WorkloadResult &R, bool Last) {
 WorkloadResult runWorkload(Workload W) {
   constexpr unsigned TtfcN = 40;
   constexpr unsigned SwapN = 12;
+  constexpr unsigned SecondN = 20;
   WorkloadResult R;
   R.Name = W.Name;
 
@@ -559,6 +610,7 @@ WorkloadResult runWorkload(Workload W) {
 
   R.Swap = swapBehavior(W, SwapN);
   R.Tier0Eligible = R.Swap.Tier0;
+  R.Second = secondSight(W, SecondN);
 
   for (unsigned Attempt = 0; Attempt < 3; ++Attempt) {
     SteadyResult S0 = steadyPromoted(W, true);

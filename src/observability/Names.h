@@ -143,6 +143,13 @@ inline constexpr char Tier0Invocations[] = "tier0.invocations";
 /// Tier-0 slots that fell back to a synchronous baseline compile because
 /// the background queue was full.
 inline constexpr char Tier0Fallback[] = "tier0.fallback";
+/// Cold tiered requests that skipped tier 0 for a synchronous baseline, by
+/// reason: the baseline was already cache-resident; the spec is outside the
+/// interpreter's envelope (SpecInterp::ok); the shape's cost history says
+/// interpreting outlasts the compile (tier::ShapeCosts).
+inline constexpr char Tier0SkipResident[] = "tier0.skip.resident";
+inline constexpr char Tier0SkipIneligible[] = "tier0.skip.ineligible";
+inline constexpr char Tier0SkipCost[] = "tier0.skip.cost";
 /// Slot creation -> baseline machine-code swap, TSC ticks.
 inline constexpr char HistTier0SwapLatency[] = "tier0.swap_latency";
 

@@ -325,16 +325,32 @@ std::string tcc::obs::renderReport(const MetricsSnapshot &S) {
   // Interpreter tier 0: calls answered before any machine code existed, and
   // how long each slot spent interpreting before its baseline landed. The
   // swap-latency tail is the window where every call pays interpreter speed.
+  // Each way out of tier 0 is one line, with its reason.
+  struct SkipRow {
+    const char *Counter, *Why;
+  };
+  constexpr SkipRow Skips[] = {
+      {names::Tier0SkipResident, "resident: the baseline was already cached"},
+      {names::Tier0SkipIneligible,
+       "ineligible: outside the interpreter's envelope"},
+      {names::Tier0SkipCost,
+       "cost: the shape's history says interpreting outlasts the compile"},
+      {names::Tier0Fallback,
+       "queue full: fell back after creation (counted as tier 0)"},
+  };
   std::uint64_t T0Inv = S.counter(names::Tier0Invocations);
-  std::uint64_t T0Fallback = S.counter(names::Tier0Fallback);
+  std::uint64_t T0Skipped = 0;
+  for (const SkipRow &R : Skips)
+    T0Skipped += S.counter(R.Counter);
   const HistogramSnapshot *T0Swap = S.histogram(names::HistTier0SwapLatency);
-  if (T0Inv + T0Fallback || (T0Swap && T0Swap->Count)) {
+  if (T0Inv + T0Skipped || (T0Swap && T0Swap->Count)) {
     Out += "tier 0 (interpreted dispatch until the baseline compile lands)\n";
-    appendf(Out,
-            "  %llu interpreted calls; %llu slots fell back to a "
-            "synchronous baseline (queue full)\n",
-            static_cast<unsigned long long>(T0Inv),
-            static_cast<unsigned long long>(T0Fallback));
+    appendf(Out, "  %llu interpreted calls\n",
+            static_cast<unsigned long long>(T0Inv));
+    Out += "  synchronous baselines instead of tier 0, by reason:\n";
+    for (const SkipRow &R : Skips)
+      appendf(Out, "    %10llu  %s\n",
+              static_cast<unsigned long long>(S.counter(R.Counter)), R.Why);
     if (T0Swap && T0Swap->Count) {
       Out += "  baseline swap latency (slot creation -> machine code, "
              "cycles)\n";

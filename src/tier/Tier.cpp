@@ -12,6 +12,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sched.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 using namespace tcc;
 using namespace tcc::tier;
@@ -24,6 +28,34 @@ obs::Counter &counter(const char *Name) {
 }
 
 } // namespace
+
+namespace tcc {
+namespace tier {
+
+/// One shape's ShapeCosts, shared by the manager's table and every slot of
+/// the shape.
+class ShapeHistory {
+public:
+  void addTier0(std::uint64_t Cycles) {
+    support::MutexLock G(M);
+    Costs.Tier0.add(Cycles);
+  }
+  void addBaseline(std::uint64_t Cycles) {
+    support::MutexLock G(M);
+    Costs.Baseline.add(Cycles);
+  }
+  ShapeCosts costs() const {
+    support::MutexLock G(M);
+    return Costs;
+  }
+
+private:
+  mutable support::Mutex M;
+  ShapeCosts Costs TICKC_GUARDED_BY(M);
+};
+
+} // namespace tier
+} // namespace tcc
 
 //===----------------------------------------------------------------------===//
 // TierConfig
@@ -76,7 +108,18 @@ core::Value TieredFn::dispatchInterp(const std::int64_t *IntArgs,
   static obs::Counter &C = counter(obs::names::Tier0Invocations);
   C.inc();
   Prof->Invocations.fetch_add(1, std::memory_order_relaxed);
-  return Interp->run(IntArgs, NumInt, FpArgs, NumFp);
+  core::Value R = Interp->run(IntArgs, NumInt, FpArgs, NumFp);
+  // The tier-0 cost sample: the first interpreted call to return after the
+  // baseline landed ran longer than the compile did. A call that returns
+  // before the swap pays only the load.
+  if (Entry.load(std::memory_order_acquire) &&
+      !Tier0Sampled.exchange(true, std::memory_order_relaxed))
+    Shape->addTier0(readCycleCounter() - CreatedTsc);
+  return R;
+}
+
+ShapeCosts TieredFn::shapeCosts() const {
+  return Shape ? Shape->costs() : ShapeCosts();
 }
 
 void TieredFn::requestPromotion() {
@@ -244,6 +287,14 @@ std::size_t TierManager::queueDepth() {
 }
 
 void TierManager::workerLoop() {
+  // Compiles are background work. A woken worker of equal weight preempts
+  // the caller that woke it and runs its whole compile on that CPU.
+  // SCHED_BATCH never preempts on wakeup, and at nice 19 the worker leaves
+  // the caller's CPU for an idle core instead of queueing behind it.
+  // SCHED_IDLE would starve it whenever every core is busy.
+  sched_param Param{};
+  (void)sched_setscheduler(0, SCHED_BATCH, &Param); // This thread only.
+  (void)setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 19);
   for (;;) {
     std::weak_ptr<TieredFn> W;
     {
@@ -377,12 +428,15 @@ void TierManager::publishSlotProfile(TieredFn &Fn) {
 void TierManager::compileBaseline(const std::shared_ptr<TieredFn> &Fn) {
   publishSlotProfile(*Fn);
   cache::FnHandle B;
+  std::uint64_t Cycles;
   {
     obs::TraceSpan Span(obs::SpanKind::TierCompile);
     Context Ctx;
     Stmt Body = Fn->Build(Ctx);
+    std::uint64_t Start = readCycleCounter();
     B = Fn->Service->getOrCompileKeyed(Ctx, Body, Fn->RetType,
                                        Fn->BaselineOpts, Fn->BaselineKey);
+    Cycles = readCycleCounter() - Start;
   }
   if (!B || !B->valid()) {
     // The slot keeps answering from the interpreter; it just never tiers
@@ -396,7 +450,85 @@ void TierManager::compileBaseline(const std::shared_ptr<TieredFn> &Fn) {
   }
   if (B->fromSnapshot())
     counter(obs::names::TierBaselineSnapshot).inc();
+  // Before the swap, so the interpreted call that closes the slot's tier-0
+  // sample finds the baseline sample already in place.
+  Fn->Shape->addBaseline(Cycles);
   Fn->installBaseline(std::move(B));
+}
+
+std::shared_ptr<ShapeHistory>
+TierManager::shapeHistory(const SpecBuild &Build, Stmt Body,
+                          EvalType RetType) {
+  std::uint64_t Key = Build.target_type().hash_code();
+  Key = (Key ^ Body.node()->Ord) * 0x9E3779B97F4A7C15ull;
+  Key = (Key ^ static_cast<std::uint64_t>(RetType)) * 0xBF58476D1CE4E5B9ull;
+  Key ^= Key >> 31;
+  support::MutexLock G(ShapesM);
+  ShapeEntry &E = Shapes[Key % Shapes.size()];
+  if (!E.History || E.Key != Key) {
+    E.Key = Key;
+    E.History = std::make_shared<ShapeHistory>();
+  }
+  return E.History;
+}
+
+TieredFnHandle
+TierManager::startInterpreted(const std::shared_ptr<TieredFn> &Fn,
+                              std::unique_ptr<Context> &OwnedCtx, Stmt Body,
+                              cache::SpecKey &Key) {
+  // TTFC becomes the cost of one tree walk: the interpreter's construction
+  // walk doubles as the eligibility check (SpecInterp::ok), and the
+  // profile-entry naming/registration is deferred to the worker.
+  Fn->CreatedNs = readMonotonicNanos();
+  Fn->CreatedTsc = readCycleCounter();
+  Context &Ctx = *OwnedCtx;
+  if (Fn->Service->config().EnableTier0Profile)
+    Fn->T0Prof = std::make_shared<Tier0Profile>();
+  auto Interp = std::make_unique<SpecInterp>(std::move(OwnedCtx), Body,
+                                             Fn->RetType, Fn->T0Prof.get());
+  if (!Interp->ok()) {
+    // Outside the interpreter's envelope: hand the tree back for the
+    // synchronous baseline.
+    OwnedCtx = Interp->takeContext();
+    Fn->T0Prof.reset();
+    return nullptr;
+  }
+  Fn->Interp = std::move(Interp);
+  Fn->BaselineKey = std::move(Key);
+  Fn->IsTier0 = true;
+  Fn->State.store(TierState::Interpreted);
+  // The slot's own profile entry counts the interpreted calls (the
+  // interpreter has no profiling prologue); installBaseline hands the
+  // trigger over to the baseline prologue's counter. Allocated here so
+  // counting starts with the first dispatch; named and registered off the
+  // creation path by publishSlotProfile (worker, or the degraded path
+  // below).
+  Fn->Prof = std::make_shared<obs::ProfileEntry>();
+  Fn->Prof->Backend.store("interp");
+  Fn->Prof->PromoteThreshold.store(Config.PromoteThreshold,
+                                   std::memory_order_relaxed);
+  Fn->Count.store(&Fn->Prof->Invocations, std::memory_order_relaxed);
+  Fn->TriggerAt.store(Config.PromoteThreshold, std::memory_order_relaxed);
+  // Entry stays null: call<> dispatches to the interpreter until the
+  // worker installs the baseline.
+  TieredFnHandle Published = publishSlot(Fn);
+  if (Published.get() == Fn.get() && !enqueue(Fn)) {
+    // Queue full (or manager stopping): degrade to the legacy synchronous
+    // compile rather than interpreting unboundedly. Ctx is still alive —
+    // the interpreter owns it now.
+    counter(obs::names::Tier0Fallback).inc();
+    publishSlotProfile(*Fn);
+    std::uint64_t Start = readCycleCounter();
+    cache::FnHandle B = Fn->Service->getOrCompileKeyed(
+        Ctx, Body, Fn->RetType, Fn->BaselineOpts, Fn->BaselineKey);
+    if (!B || !B->valid())
+      reportFatalError("tier: baseline instantiation failed");
+    Fn->Shape->addBaseline(readCycleCounter() - Start);
+    if (B->fromSnapshot())
+      counter(obs::names::TierBaselineSnapshot).inc();
+    Fn->installBaseline(std::move(B));
+  }
+  return Published;
 }
 
 TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
@@ -444,67 +576,43 @@ TieredFnHandle TierManager::getOrCreate(cache::CompileService &Service,
   Fn->PromoteOpts = PromoteOpts;
   Fn->BaselineOpts = BaselineOpts;
 
-  // Interpreter tier 0: when the baseline is not already cache-resident
-  // (a hit answers at full speed immediately — interpreting it would be a
-  // regression) and the spec is within the interpreter's envelope, answer
-  // from the interpreter now and push the baseline compile to the worker
-  // pool. TTFC becomes the cost of one tree walk: the interpreter's
-  // construction walk doubles as the eligibility check (SpecInterp::ok),
-  // and the profile-entry naming/registration is deferred to the worker.
-  if (Service.config().EnableTier0 && !Service.lookup(Key)) {
-    if (Service.config().EnableTier0Profile)
-      Fn->T0Prof = std::make_shared<Tier0Profile>();
-    auto Interp = std::make_unique<SpecInterp>(std::move(OwnedCtx), Body,
-                                               RetType, Fn->T0Prof.get());
-    if (Interp->ok()) {
-      Fn->Interp = std::move(Interp);
-      Fn->BaselineKey = std::move(Key);
-      Fn->IsTier0 = true;
-      Fn->State.store(TierState::Interpreted);
-      Fn->CreatedNs = readMonotonicNanos();
-      Fn->CreatedTsc = readCycleCounter();
-      // The slot's own profile entry counts the interpreted calls (the
-      // interpreter has no profiling prologue); installBaseline hands the
-      // trigger over to the baseline prologue's counter. Allocated here
-      // so counting starts with the first dispatch; named and registered
-      // off the creation path by publishSlotProfile (worker, or the
-      // degraded path below).
-      Fn->Prof = std::make_shared<obs::ProfileEntry>();
-      Fn->Prof->Backend.store("interp");
-      Fn->Prof->PromoteThreshold.store(Config.PromoteThreshold,
-                                       std::memory_order_relaxed);
-      Fn->Count.store(&Fn->Prof->Invocations, std::memory_order_relaxed);
-      Fn->TriggerAt.store(Config.PromoteThreshold, std::memory_order_relaxed);
-      // Entry stays null: call<> dispatches to the interpreter until the
-      // worker installs the baseline.
-      TieredFnHandle Published = publishSlot(Fn);
-      if (Published.get() == Fn.get() && !enqueue(Fn)) {
-        // Queue full (or manager stopping): degrade to the legacy
-        // synchronous compile rather than interpreting unboundedly. Ctx is
-        // still alive — the interpreter owns it now.
-        counter(obs::names::Tier0Fallback).inc();
-        publishSlotProfile(*Fn);
-        cache::FnHandle B = Service.getOrCompileKeyed(Ctx, Body, RetType,
-                                                      BaselineOpts,
-                                                      Fn->BaselineKey);
-        if (!B || !B->valid())
-          reportFatalError("tier: baseline instantiation failed");
-        if (B->fromSnapshot())
-          counter(obs::names::TierBaselineSnapshot).inc();
-        Fn->installBaseline(std::move(B));
-      }
-      return Published;
+  // Interpreter tier 0: answer from the interpreter now and push the
+  // baseline compile to the worker pool, unless one of three reasons sends
+  // the spec to the synchronous baseline below:
+  //   resident   — a cache hit answers at full speed immediately;
+  //   cost       — the shape's history says interpreting outlasts the
+  //                compile (ShapeCosts::preferSynchronous);
+  //   ineligible — the spec is outside the interpreter's envelope.
+  static obs::Counter &SkipResident = counter(obs::names::Tier0SkipResident);
+  static obs::Counter &SkipCost = counter(obs::names::Tier0SkipCost);
+  static obs::Counter &SkipIneligible =
+      counter(obs::names::Tier0SkipIneligible);
+  // A baseline-cost sample counts only after a cache miss: a resident hit
+  // costs next to nothing and would drag the shape's mean towards zero.
+  bool Missed = false;
+  if (Service.config().EnableTier0) {
+    Fn->Shape = shapeHistory(Build, Body, RetType);
+    if (Service.lookup(Key)) {
+      SkipResident.inc();
+    } else if (Fn->Shape->costs().preferSynchronous()) {
+      SkipCost.inc();
+      Missed = true;
+    } else if (TieredFnHandle Interpreted =
+                   startInterpreted(Fn, OwnedCtx, Body, Key)) {
+      return Interpreted;
+    } else {
+      SkipIneligible.inc();
+      Missed = true;
     }
-    // Outside the interpreter's envelope: reclaim the tree and fall
-    // through to the synchronous baseline.
-    OwnedCtx = Interp->takeContext();
-    Fn->T0Prof.reset();
   }
 
+  std::uint64_t Start = readCycleCounter();
   cache::FnHandle Baseline =
       Service.getOrCompileKeyed(Ctx, Body, RetType, BaselineOpts, Key);
   if (!Baseline || !Baseline->valid())
     reportFatalError("tier: baseline instantiation failed");
+  if (Missed)
+    Fn->Shape->addBaseline(readCycleCounter() - Start);
   // Warm-start provenance: a snapshot-revived baseline enters the tier
   // machinery exactly like a fresh compile (its patched counter drives
   // promotion), but the report should attribute it to the snapshot.

@@ -33,6 +33,9 @@
 ///     that loaded the old entry just before a swap still runs live code.
 ///     The cost is the baseline kept beside the promoted body; for a
 ///     cacheable spec the code cache holds that baseline anyway.
+///   * Tier-0 admission — a cold spec is born interpreted unless its shape's
+///     measured history says interpreting it outlasts compiling it (see
+///     ShapeCosts); then its baseline compiles before getOrCreate returns.
 ///
 /// Lifetime rules: a TieredFnHandle (and anything its SpecBuild closure
 /// captures) must not outlive the CompileService it was created against or
@@ -48,6 +51,8 @@
 #include "observability/Profile.h"
 #include "support/ThreadSafety.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -97,6 +102,41 @@ enum class TierState : std::uint8_t {
 };
 
 class TierManager;
+class ShapeHistory;
+
+/// A running mean of TSC cycles. After Window samples it turns into an
+/// exponential average, so a shape's verdict follows a host whose costs
+/// drift.
+struct CycleMean {
+  static constexpr std::uint64_t Window = 16;
+  std::uint64_t Samples = 0;
+  double Cycles = 0;
+
+  void add(std::uint64_t X) {
+    ++Samples;
+    Cycles += (static_cast<double>(X) - Cycles) /
+              static_cast<double>(std::min(Samples, Window));
+  }
+};
+
+/// What one spec shape has cost so far in one manager: the inputs of the
+/// tier-0 admission rule (TierManager::getOrCreate).
+struct ShapeCosts {
+  /// Slot creation to the end of the first interpreted call that returned
+  /// after the baseline was installed, one sample per slot. A slot whose
+  /// interpreted calls all return before the swap adds none: it was cheap.
+  CycleMean Tier0;
+  /// The baseline's getOrCompileKeyed, timed only where the cache had
+  /// missed: a real compile or a snapshot load, on the worker or on the
+  /// synchronous path.
+  CycleMean Baseline;
+
+  /// True when both costs are measured and interpreting cost more: a cold
+  /// spec of this shape compiles synchronously instead.
+  bool preferSynchronous() const {
+    return Tier0.Samples && Baseline.Samples && Tier0.Cycles > Baseline.Cycles;
+  }
+};
 
 namespace detail {
 /// Marshals a call<FnT>() invocation into the interpreter's SysV-split
@@ -187,6 +227,9 @@ public:
   /// The tier-0 execution profile, or null (profiling disabled / legacy
   /// slot).
   const core::Tier0Profile *tier0Profile() const { return T0Prof.get(); }
+  /// The admission history of the slot's shape in its manager, as of now;
+  /// empty when the slot was created with tier 0 disabled.
+  ShapeCosts shapeCosts() const;
 
   /// Implementation detail of call<>'s interpreted path: counts the
   /// dispatch and runs the spec-tree interpreter. Public only for
@@ -257,8 +300,15 @@ private:
   /// baseline swap may still be executing run().
   std::unique_ptr<core::SpecInterp> Interp;
   std::shared_ptr<core::Tier0Profile> T0Prof;
+  /// The shape's cost history (set whenever tier 0 is enabled). The slot
+  /// shares it, so a late sample never needs the manager.
+  std::shared_ptr<ShapeHistory> Shape;
   bool IsTier0 = false;
-  std::uint64_t CreatedNs = 0;  ///< Slot creation, for tier0.swap_latency.
+  /// Set by the interpreted call that takes the slot's tier-0 cost sample.
+  mutable std::atomic<bool> Tier0Sampled{false};
+  /// Start of the tier-0 branch: the origin of tier0.swap_latency and of
+  /// the tier-0 cost sample.
+  std::uint64_t CreatedNs = 0;
   std::uint64_t CreatedTsc = 0;
 
   // --- Tier handles + promotion rendezvous ----------------------------------
@@ -352,6 +402,13 @@ private:
   /// slot and swap it in (installBaseline). Failure marks the slot Failed;
   /// it keeps answering from the interpreter.
   void compileBaseline(const std::shared_ptr<TieredFn> &Fn);
+  /// Arms \p Fn as an interpreted tier-0 slot over \p Body, publishes it
+  /// and enqueues its baseline compile. Returns null, with the tree handed
+  /// back in \p OwnedCtx and \p Key untouched, when the spec is outside
+  /// the interpreter's envelope.
+  TieredFnHandle startInterpreted(const std::shared_ptr<TieredFn> &Fn,
+                                  std::unique_ptr<core::Context> &OwnedCtx,
+                                  core::Stmt Body, cache::SpecKey &Key);
   /// Names and registers a tier-0 slot's deferred profile entry (see
   /// getOrCreate): runs on the worker, or inline on the degraded
   /// synchronous path — never on slot creation's critical path.
@@ -363,6 +420,12 @@ private:
   /// Config.SamplePromoteThreshold and enqueues them (runs only when the
   /// threshold is nonzero).
   void sampleWatchLoop();
+  /// The cost history of \p Body's shape: the closure's type, the root's
+  /// creation ordinal and the return type, so `$` values and constants do
+  /// not split a family of specs. Creates it on first sight.
+  std::shared_ptr<ShapeHistory> shapeHistory(const SpecBuild &Build,
+                                             core::Stmt Body,
+                                             core::EvalType RetType);
 
   TierConfig Config;
 
@@ -380,6 +443,15 @@ private:
   /// Every slot ever created (uncacheable ones included): the destructor's
   /// detach list. Compacted alongside Slots.
   std::vector<std::weak_ptr<TieredFn>> AllSlots TICKC_GUARDED_BY(SlotsM);
+
+  /// Shape histories, direct-mapped by shape hash: bounded, and a shape
+  /// that collides replaces the older one (whose slots keep their copy).
+  struct ShapeEntry {
+    std::uint64_t Key = 0;
+    std::shared_ptr<ShapeHistory> History;
+  };
+  support::Mutex ShapesM;
+  std::array<ShapeEntry, 256> Shapes TICKC_GUARDED_BY(ShapesM);
 };
 
 } // namespace tier

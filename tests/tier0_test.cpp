@@ -3,8 +3,8 @@
 // Covers the interpreted tier (src/core/SpecInterp + the tier-0 half of
 // src/tier): zero-latency slot creation answering from the spec-tree
 // interpreter, the background baseline compile and entry swap, synchronous
-// fallbacks (tier 0 disabled, uninterpretable specs, full queue), the
-// execution profile (trip counts, roll/unroll decisions, the SpecKey
+// fallbacks (tier 0 disabled, uninterpretable specs, full queue), tier-0
+// admission from each shape's measured costs, the execution profile (trip counts, roll/unroll decisions, the SpecKey
 // digest), profile-directed unrolling in the optimizing compile, and an
 // 8-thread swap-race stress (run under -fsanitize=thread in CI).
 //
@@ -15,11 +15,14 @@
 #include "core/Compile.h"
 #include "core/Context.h"
 #include "core/SpecInterp.h"
+#include "observability/Metrics.h"
+#include "observability/Names.h"
 #include "tier/Tier.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
@@ -441,6 +444,262 @@ TEST(Tier0, ProfileDisabledSlotStillWorks) {
   EXPECT_EQ(TF->call<int(int)>(2), 64);
 }
 
+// --- Tier-0 admission ---------------------------------------------------------
+
+std::uint64_t counterValue(const char *Name) {
+  return obs::MetricsRegistry::global().counter(Name).value();
+}
+
+/// Makes a heavy slot's first interpreted call straddle its baseline swap
+/// however the worker is scheduled: the worker's rebuild of the spec waits
+/// until the call reaches awaitBaseline(), which then waits for the swap.
+struct Straddle {
+  std::atomic<unsigned> Builds{0};
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Reached = false;
+  TieredFn *Slot = nullptr;
+
+  /// Called from the spec-building closure.
+  void holdWorkerBuild() {
+    if (Builds.fetch_add(1) != 1) // Build 0 is the creator's.
+      return;
+    std::unique_lock<std::mutex> L(Mu);
+    Cv.wait_for(L, std::chrono::seconds(10), [&] { return Reached; });
+  }
+};
+
+/// The straddle the next heavy call completes.
+std::atomic<Straddle *> Pending{nullptr};
+
+int awaitBaseline() {
+  if (Straddle *S = Pending.exchange(nullptr)) {
+    {
+      std::lock_guard<std::mutex> L(S->Mu);
+      S->Reached = true;
+    }
+    S->Cv.notify_all();
+    S->Slot->waitCompiled();
+  }
+  return 0;
+}
+
+/// Arms \p S for \p Slot's next call.
+void straddleNextCall(Straddle &S, TieredFn &Slot) {
+  S.Slot = &Slot;
+  Pending = &S;
+}
+
+/// `f(n) = Salt + sum(i ^ 3) over i < n`: a rolled loop that compiles in
+/// microseconds and, interpreted, runs as long as n asks. Salt is a
+/// constant, so each salt is its own cache key of one shape.
+Stmt buildHeavySpec(Context &C, Expr Salt) {
+  VSpec N = C.paramInt(0), Acc = C.localInt(), I = C.localInt();
+  return C.block(
+      {C.assign(Acc, Salt),
+       C.forStmt(I, C.intConst(0), vcode::CmpKind::LtS, Expr(N),
+                 C.intConst(1),
+                 C.assign(Acc, Expr(Acc) + (Expr(I) ^ C.intConst(3)))),
+       C.assign(Acc, Expr(Acc) + C.callC(reinterpret_cast<const void *>(
+                                             &awaitBaseline),
+                                         EvalType::Int, {})),
+       C.ret(Expr(Acc))});
+}
+
+SpecBuild heavyBuild(int Salt, std::shared_ptr<Straddle> S = nullptr) {
+  return [Salt, S](Context &C) {
+    if (S)
+      S->holdWorkerBuild();
+    return buildHeavySpec(C, C.intConst(Salt));
+  };
+}
+
+int heavyWant(int Salt, int N) {
+  unsigned Acc = static_cast<unsigned>(Salt);
+  for (int I = 0; I < N; ++I)
+    Acc += static_cast<unsigned>(I ^ 3);
+  return static_cast<int>(Acc);
+}
+
+/// Interpreted, a heavy call runs for milliseconds: hundreds of times the
+/// loop's compile. The cost gap is the spec's; Straddle only makes the
+/// first sight's call outlast the swap on a loaded host too.
+constexpr int HeavyTrips = 500000;
+
+/// `f(x) = x > 0 ? Salt : <long straight-line block>`: a call with x > 0
+/// returns at the guard, while the compile covers every statement.
+SpecBuild guardedBuild(int Salt) {
+  return [Salt](Context &C) {
+    VSpec X = C.paramInt(0), Acc = C.localInt();
+    std::vector<Stmt> Body;
+    Body.push_back(C.ifStmt(Expr(X) > C.intConst(0), C.ret(C.intConst(Salt))));
+    Body.push_back(C.assign(Acc, Expr(X)));
+    for (int K = 0; K < 1500; ++K)
+      Body.push_back(
+          C.assign(Acc, (Expr(Acc) * C.intConst(K | 1)) ^ Expr(X)));
+    Body.push_back(C.ret(Expr(Acc)));
+    return C.block(Body);
+  };
+}
+
+TEST(Tier0, HeavyShapeCompilesSynchronouslyOnSecondSight) {
+  CompileService S;
+  TierManager TM(config(1 << 20));
+  auto Straddled = std::make_shared<Straddle>();
+  TieredFnHandle First = S.getOrCompileTiered(
+      heavyBuild(1, Straddled), EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(First->isTier0());
+  straddleNextCall(*Straddled, *First);
+  EXPECT_EQ(First->call<int(int)>(HeavyTrips), heavyWant(1, HeavyTrips));
+  // The interpreted call returned after the baseline landed: one sample of
+  // each cost, interpreting the dearer.
+  ShapeCosts Costs = First->shapeCosts();
+  ASSERT_EQ(Costs.Tier0.Samples, 1u);
+  ASSERT_EQ(Costs.Baseline.Samples, 1u);
+  EXPECT_TRUE(Costs.preferSynchronous());
+
+  // A fresh spec of the same shape compiles before the call.
+  std::uint64_t SkipCost = counterValue(obs::names::Tier0SkipCost);
+  TieredFnHandle Second = S.getOrCompileTiered(heavyBuild(2), EvalType::Int,
+                                               CompileOptions(), &TM);
+  EXPECT_TRUE(Second->compiled());
+  EXPECT_FALSE(Second->isTier0());
+  EXPECT_EQ(counterValue(obs::names::Tier0SkipCost), SkipCost + 1);
+  EXPECT_EQ(Second->call<int(int)>(1000), heavyWant(2, 1000));
+  // The synchronous compile was a real one: it adds a baseline sample.
+  EXPECT_EQ(Second->shapeCosts().Baseline.Samples, 2u);
+}
+
+TEST(Tier0, FreshManagerStartsAHeavyShapeAtTierZero) {
+  CompileService S;
+  {
+    TierManager TM(config(1 << 20));
+    auto Straddled = std::make_shared<Straddle>();
+    TieredFnHandle TF = S.getOrCompileTiered(
+        heavyBuild(3, Straddled), EvalType::Int, CompileOptions(), &TM);
+    straddleNextCall(*Straddled, *TF);
+    EXPECT_EQ(TF->call<int(int)>(HeavyTrips), heavyWant(3, HeavyTrips));
+    ASSERT_TRUE(TF->shapeCosts().preferSynchronous());
+  }
+  // The history belongs to the manager: a new one knows nothing yet.
+  TierManager TM(config(1 << 20));
+  TieredFnHandle TF = S.getOrCompileTiered(heavyBuild(4), EvalType::Int,
+                                           CompileOptions(), &TM);
+  EXPECT_TRUE(TF->isTier0());
+  EXPECT_EQ(TF->shapeCosts().Tier0.Samples, 0u);
+  EXPECT_EQ(TF->call<int(int)>(10), heavyWant(4, 10));
+}
+
+TEST(Tier0, CheapCallOverALargeCompileStaysInterpreted) {
+  CompileService S;
+  TierManager TM(config(1 << 20));
+  std::uint64_t SkipCost = counterValue(obs::names::Tier0SkipCost);
+  for (int Sight = 0; Sight < 8; ++Sight) {
+    TieredFnHandle TF = S.getOrCompileTiered(guardedBuild(100 + Sight),
+                                             EvalType::Int, CompileOptions(),
+                                             &TM);
+    EXPECT_TRUE(TF->isTier0()) << "sight " << Sight;
+    EXPECT_EQ(TF->call<int(int)>(1), 100 + Sight);
+    ASSERT_TRUE(TF->waitCompiled());
+  }
+  EXPECT_EQ(counterValue(obs::names::Tier0SkipCost), SkipCost);
+  // Every slot answered before its baseline landed: no tier-0 sample, and
+  // one baseline sample per background compile.
+  TieredFnHandle Last = S.getOrCompileTiered(guardedBuild(107), EvalType::Int,
+                                             CompileOptions(), &TM);
+  ShapeCosts Costs = Last->shapeCosts();
+  EXPECT_EQ(Costs.Tier0.Samples, 0u);
+  EXPECT_EQ(Costs.Baseline.Samples, 8u);
+  EXPECT_FALSE(Costs.preferSynchronous());
+}
+
+TEST(Tier0, UncacheableShapeLearnsToo) {
+  // `$*Cell` reads memory at instantiation, so no two instantiations share
+  // a key (like dp): every request is a first sight.
+  static int Cell = 5;
+  auto Straddled = std::make_shared<Straddle>();
+  SpecBuild Build = [Straddled](Context &C) {
+    Straddled->holdWorkerBuild();
+    return buildHeavySpec(
+        C, C.rtEval(C.loadMem(MemType::I32, C.rcPtr(&Cell))));
+  };
+  CompileService S;
+  TierManager TM(config(1 << 20));
+  TieredFnHandle First =
+      S.getOrCompileTiered(Build, EvalType::Int, CompileOptions(), &TM);
+  ASSERT_TRUE(First->isTier0());
+  straddleNextCall(*Straddled, *First);
+  EXPECT_EQ(First->call<int(int)>(HeavyTrips), heavyWant(5, HeavyTrips));
+  ASSERT_TRUE(First->shapeCosts().preferSynchronous());
+
+  std::uint64_t SkipCost = counterValue(obs::names::Tier0SkipCost);
+  TieredFnHandle Second =
+      S.getOrCompileTiered(Build, EvalType::Int, CompileOptions(), &TM);
+  EXPECT_NE(Second.get(), First.get());
+  EXPECT_TRUE(Second->compiled());
+  EXPECT_FALSE(Second->isTier0());
+  EXPECT_EQ(counterValue(obs::names::Tier0SkipCost), SkipCost + 1);
+  EXPECT_EQ(Second->call<int(int)>(7), heavyWant(5, 7));
+}
+
+TEST(Tier0, ResidentCacheHitsAddNoBaselineSample) {
+  CompileService S;
+  TierManager TM(config(1 << 20));
+  TieredFnHandle A = S.getOrCompileTiered(guardedBuild(9), EvalType::Int,
+                                          CompileOptions(), &TM);
+  ASSERT_TRUE(A->isTier0());
+  ASSERT_TRUE(A->waitCompiled());
+  ASSERT_EQ(A->shapeCosts().Baseline.Samples, 1u);
+
+  // Release the slot (the worker drops its reference just after the swap),
+  // so the next request finds the baseline in the cache, not the slot.
+  std::weak_ptr<TieredFn> Gone = A;
+  A.reset();
+  while (!Gone.expired())
+    std::this_thread::yield();
+  for (int Hit = 0; Hit < 4; ++Hit) {
+    std::uint64_t Resident = counterValue(obs::names::Tier0SkipResident);
+    TieredFnHandle B = S.getOrCompileTiered(guardedBuild(9), EvalType::Int,
+                                            CompileOptions(), &TM);
+    EXPECT_TRUE(B->compiled());
+    EXPECT_FALSE(B->isTier0());
+    EXPECT_EQ(counterValue(obs::names::Tier0SkipResident), Resident + 1);
+    EXPECT_EQ(B->call<int(int)>(1), 9);
+    EXPECT_EQ(B->shapeCosts().Baseline.Samples, 1u) << "hit " << Hit;
+    Gone = B;
+    B.reset();
+    while (!Gone.expired())
+      std::this_thread::yield();
+  }
+}
+
+TEST(Tier0, IneligibleAndQueueFullSlotsAreCountedByReason) {
+  CompileService S;
+  std::uint64_t Ineligible = counterValue(obs::names::Tier0SkipIneligible);
+  {
+    TierManager TM(config(1 << 20));
+    TieredFnHandle TF = S.getOrCompileTiered(
+        [](Context &C) {
+          DynLabel L = C.newLabel();
+          return C.block({C.gotoLabel(L), C.labelHere(L),
+                          C.ret(C.intConst(3))});
+        },
+        EvalType::Int, CompileOptions(), &TM);
+    EXPECT_FALSE(TF->isTier0());
+    EXPECT_EQ(counterValue(obs::names::Tier0SkipIneligible), Ineligible + 1);
+  }
+  TierConfig TC = config(1 << 20);
+  TC.QueueCapacity = 0;
+  TierManager TM(TC);
+  std::uint64_t Fallback = counterValue(obs::names::Tier0Fallback);
+  TieredFnHandle TF = S.getOrCompileTiered(guardedBuild(11), EvalType::Int,
+                                           CompileOptions(), &TM);
+  EXPECT_TRUE(TF->compiled());
+  EXPECT_EQ(counterValue(obs::names::Tier0Fallback), Fallback + 1);
+  // The fallback's synchronous compile is a real one.
+  EXPECT_EQ(TF->shapeCosts().Baseline.Samples, 1u);
+}
+
 // --- Environment knobs -------------------------------------------------------
 
 TEST(Tier0, EnvKnobsReachServiceConfig) {
@@ -493,6 +752,44 @@ TEST(Tier0, ConcurrentCallersAcrossBothSwaps) {
   EXPECT_TRUE(Promoted);
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_EQ(TF->handle()->stats().Backend, BackendKind::ICode);
+}
+
+TEST(Tier0, ConcurrentFirstSightsOfOneShape) {
+  // 8 threads mint fresh slots of one shape and call each once, some
+  // calls heavy enough to outlast their baseline, so the shape's verdict
+  // flips to synchronous while other threads are mid-creation and the
+  // worker adds baseline samples. Run under TSan in CI.
+  CompileService S;
+  TierManager TM(config(1 << 20, 2));
+  constexpr unsigned NumThreads = 8, PerThread = 12;
+  std::atomic<unsigned> Failures{0}, Synchronous{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I < PerThread; ++I) {
+        int Salt = static_cast<int>(1000 + T * PerThread + I);
+        TieredFnHandle TF = S.getOrCompileTiered(
+            heavyBuild(Salt), EvalType::Int, CompileOptions(), &TM);
+        if (!TF->isTier0())
+          Synchronous.fetch_add(1, std::memory_order_relaxed);
+        int N = (I % 4 == 0) ? HeavyTrips / 2 : 64;
+        if (TF->call<int(int)>(N) != heavyWant(Salt, N))
+          Failures.fetch_add(1, std::memory_order_relaxed);
+        if (!TF->waitCompiled())
+          Failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  // Whatever the interleaving, every slot's compile was a real one and
+  // left a baseline sample, and only tier-0 slots left a tier-0 sample.
+  TieredFnHandle Probe = S.getOrCompileTiered(heavyBuild(1), EvalType::Int,
+                                              CompileOptions(), &TM);
+  ShapeCosts Costs = Probe->shapeCosts();
+  EXPECT_GE(Costs.Baseline.Samples, NumThreads * PerThread);
+  EXPECT_LE(Costs.Tier0.Samples, NumThreads * PerThread - Synchronous.load());
 }
 
 TEST(Tier0, ManyFreshSlotsUnderConcurrentLoad) {

@@ -3,8 +3,9 @@
 // Covers the VCODE-first / background-ICODE promotion path (src/tier):
 // dispatch-slot correctness across the swap for every app adapter, slot
 // memoization, uncacheable-spec tiering, queue-full backoff, shutdown with
-// pending requests, and multi-threaded stress during promotion and under
-// cache-eviction churn (run under -fsanitize=thread in CI).
+// pending requests, the compile workers' priority, and multi-threaded
+// stress during promotion and under cache-eviction churn (run under
+// -fsanitize=thread in CI).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <dirent.h>
+#include <fstream>
+#include <iterator>
+#include <sched.h>
+#include <sstream>
+#include <string>
+#include <sys/resource.h>
+#include <sys/syscall.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace tcc;
@@ -268,6 +280,67 @@ TEST(Tier, ShutdownWithPendingRequestsFailsThemCleanly) {
       EXPECT_EQ(H->as<int(int)>()(2), X);
     }
   }
+}
+
+// --- Worker priority ----------------------------------------------------------
+
+/// How many threads of this process run at nice 19 under SCHED_BATCH, from
+/// /proc/self/task/<tid>/stat (fields 19 and 41; the command name in field
+/// 2 is parenthesized and may hold spaces, so count from its closing
+/// paren).
+unsigned backgroundThreads() {
+  unsigned N = 0;
+  DIR *D = opendir("/proc/self/task");
+  if (!D)
+    return N;
+  while (dirent *E = readdir(D)) {
+    if (E->d_name[0] == '.')
+      continue;
+    std::ifstream In(std::string("/proc/self/task/") + E->d_name + "/stat");
+    std::string Stat((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    std::size_t Paren = Stat.rfind(')');
+    if (Paren == std::string::npos)
+      continue; // The thread exited between readdir and open.
+    std::istringstream Fields(Stat.substr(Paren + 1));
+    std::string Field, Nice;
+    int I = 3;
+    for (; I <= 41 && (Fields >> Field); ++I)
+      if (I == 19)
+        Nice = Field;
+    N += I == 42 && Nice == "19" && std::stoi(Field) == SCHED_BATCH;
+  }
+  closedir(D);
+  return N;
+}
+
+TEST(Tier, CompileWorkersRunAtNice19) {
+  auto CallerNice = [] {
+    return getpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)));
+  };
+  int Before = CallerNice();
+  int Policy = sched_getscheduler(0);
+  unsigned Others = backgroundThreads(); // Managers of earlier tests, if any.
+  {
+    constexpr unsigned Workers = 3;
+    TierManager TM(config(1 << 20, Workers));
+    // Each worker lowers its own priority as it starts.
+    auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (backgroundThreads() < Others + Workers &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(backgroundThreads(), Others + Workers);
+    // A compile through the manager changes nothing on the calling thread.
+    CompileService S;
+    apps::PowerApp P(5);
+    TieredFnHandle TF = P.specializeTiered(S, &TM);
+    EXPECT_EQ(TF->call<int(int)>(2), 32);
+    ASSERT_TRUE(TF->waitCompiled());
+    EXPECT_EQ(CallerNice(), Before);
+    EXPECT_EQ(sched_getscheduler(0), Policy);
+    EXPECT_EQ(backgroundThreads(), Others + Workers);
+  }
+  EXPECT_EQ(backgroundThreads(), Others); // Joined with the manager.
 }
 
 // --- Concurrency -------------------------------------------------------------
